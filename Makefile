@@ -2,7 +2,7 @@ export PYTHONPATH := src
 
 PYTHON ?= python
 
-.PHONY: test lint lint-json gradcheck bench bench-save smoke-infer smoke-simhw smoke-dataset smoke-train check
+.PHONY: test lint lint-json gradcheck bench bench-save smoke-infer smoke-simhw smoke-dataset smoke-train smoke-perfbench check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -50,5 +50,11 @@ smoke-dataset:
 # (also runnable as `python -m repro.core.trainer`).
 smoke-train:
 	$(PYTHON) -c "import importlib; raise SystemExit(importlib.import_module('repro.core.trainer').main())"
+
+# Benchmark smoke (~60 s): every perfbench workload once, at a short
+# window; fails unless the final JSON line reports a correct run with no
+# failed operations (perfbench checks digests and oracles itself).
+smoke-perfbench:
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 2 | $(PYTHON) -c "import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep='\n'); r = json.loads(lines[-1]); sys.exit(0 if r['correct'] is True and r['failed'] == 0 else 'perfbench smoke: the run is not correct or has failed operations')"
 
 check: lint test gradcheck smoke-infer smoke-simhw smoke-dataset smoke-train

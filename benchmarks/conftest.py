@@ -1,31 +1,15 @@
-"""Benchmark fixtures: tiny-scale experiment running.
+"""Benchmark collection gates.
 
-Each paper table/figure has one benchmark that regenerates it at the
-``tiny`` scale (datasets are disk-cached under ``data/`` so repeated runs
-skip generation). These are end-to-end timings of the reproduction
-pipeline, not micro-benchmarks; they run once per session
-(``benchmark.pedantic`` with a single round).
+Each benchmark module names the subsystems it exercises; a module whose
+imports are not available is not collected, so the tier-1 run stays
+green on a partial tree.
 """
 
 from __future__ import annotations
 
 import importlib.util
 
-import pytest
-
-# Benchmarks exercise subsystems that land PR by PR; skip collecting the
-# modules whose imports are not available yet so the tier-1 run stays green.
-# Gates are per-module (finest missing piece), so landing one subsystem
-# un-skips exactly the benchmarks it unblocks: bench_extractor needs only
-# repro.core (present), while bench_micro's Figure-10 comparisons still
-# wait on the hardware simulator, workloads, baselines, and the TLP model.
 _REQUIRES = {
-    "bench_micro.py": (
-        "repro.core.tlp_model",
-        "repro.simhw",
-        "repro.workloads",
-        "repro.baselines",
-    ),
     "bench_extractor.py": ("repro.core",),
     "bench_simhw.py": ("repro.simhw",),
     "bench_nn.py": ("repro.nn", "repro.core.tlp_model"),
@@ -34,8 +18,6 @@ _REQUIRES = {
     "bench_absint.py": ("repro.analysis.absint", "repro.core.scoring",
                         "repro.simhw", "repro.nn"),
     "bench_training.py": ("repro.core.trainer", "repro.dataset", "repro.nn"),
-    "bench_tables.py": ("repro.experiments",),
-    "bench_figures.py": ("repro.experiments",),
 }
 
 
@@ -48,16 +30,3 @@ def _missing(module: str) -> bool:
 
 collect_ignore = [f for f, mods in _REQUIRES.items() if any(_missing(m) for m in mods)]
 
-
-@pytest.fixture()
-def run_experiment(benchmark):
-    """Run an experiment's `run(scale='tiny')` once under the benchmark."""
-
-    def _run(module):
-        result = benchmark.pedantic(
-            lambda: module.run(scale="tiny", verbose=False), rounds=1, iterations=1
-        )
-        assert result is not None
-        return result
-
-    return _run

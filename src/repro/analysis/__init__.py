@@ -1,19 +1,19 @@
-"""Static analysis: schedule-sequence verification, abstract
-interpretation, and the repo lint.
+"""Static analysis: the semantics of schedule primitive sequences, their
+verification, and the repo lint.
 
-* ``verifier`` — checks primitive sequences against their subgraph without
-  applying them (structural E1xx rules, axis-liveness E2xx dataflow,
-  W3xx performance smells).
+* ``absint`` — the one interpreter of primitive sequences: a transfer
+  function per primitive kind over an interval loop-nest domain.
+  Fail-fast, it yields a :class:`~repro.analysis.absint.StaticProfile`
+  (static feature plane, draft scores for draft-then-verify ranking, and
+  the loop nest ``Schedule.apply()`` returns); collecting, it yields every
+  diagnostic of a sequence.
+* ``verifier`` — the verification entry points over that interpreter
+  (structural E1xx rules, axis-liveness E2xx dataflow, W3xx performance
+  smells) and the fail-closed gates.
 * ``diagnostics`` — the :class:`Diagnostic` record and error-code taxonomy.
-* ``absint`` — abstract interpreter over the loop-nest interval domain:
-  symbolic execution of a primitive sequence into a
-  :class:`~repro.analysis.absint.StaticProfile` (static feature plane,
-  draft scores for draft-then-verify ranking, W304–W306 smells) without
-  applying the schedule.
 * ``lint`` — pluggable AST rule framework enforcing DESIGN.md §7
   conventions over the source tree
-  (``python -m repro.analysis.lint src/ tests/ benchmarks/``);
-  ``selfcheck`` remains as its compatibility shim.
+  (``python -m repro.analysis.lint src/ tests/ benchmarks/``).
 """
 
 from __future__ import annotations

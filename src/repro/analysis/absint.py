@@ -1,51 +1,49 @@
-"""Abstract interpretation of schedule primitive sequences.
+"""Abstract interpretation: the one semantics of primitive sequences.
 
-The verifier (``repro.analysis.verifier``) proves a sequence *valid*
-without applying it; this module goes one step further and derives *what
-the schedule does* — loop extents, tile footprints, parallel/vector
-structure, GPU grid geometry — still without ever calling
-``Schedule.apply``.  That static profile is exactly the pre-screen a
-Pruner-style draft-then-verify search loop needs (PAPERS.md: a cheap
-static draft score in front of the learned model), and a second,
-independent implementation to cross-check the applier and ``repro.simhw``
-against.
+Every consumer of a schedule primitive sequence — the verifier, the
+sampler's fail-closed gate, the dataset build, ``Schedule.apply()`` and
+the draft-then-verify scorer — goes through the :class:`Interpreter`
+here.  Each primitive kind has exactly one transfer function: it checks
+the step's rules, reporting every violation under its diagnostic code
+(``repro.analysis.diagnostics``), and updates the abstract loop nest.  So
+"valid" and "what the schedule does" cannot drift apart: a sequence
+without error diagnostics is exactly a sequence that interprets, and
+``profile(...).to_nest()`` *is* ``Schedule.apply()``.
 
 The abstract domain is an ordered list of loops whose trip counts are
-:class:`Interval` values.  On concrete schedules every interval's upper
-bound is the padded extent the applier would produce (the differential
-property in ``tests/test_absint.py`` pins this exactly), while the lower
-bound tracks the minimum number of *useful* iterations once split padding
-is accounted for — a padded split leaves its first inner level with a
-ragged final tile, so that loop's interval widens while every trip count
-stays exact.
+:class:`Interval` values.  Every interval's upper bound is the padded
+extent of the loop, while the lower bound tracks the minimum number of
+*useful* iterations once split padding is accounted for — a padded split
+leaves its first inner level with a ragged final tile, so that loop's
+interval widens while every trip count stays exact.  Axis names move
+through ``UNDEFINED -> LIVE -> CONSUMED``: subgraph axes start live;
+SP/FSP and FU consume their inputs and define fresh axes; every other
+primitive may only reference live axes.  Bound GPU thread tags and the
+stage flags persist for the whole sequence.
 
-Rejection semantics are the union of the applier's and the verifier's:
-:func:`profile` raises :class:`AbsIntError` on any sequence the verifier
-would flag with an error diagnostic (the property tests assert both
-directions: verifier-clean ⇒ absint succeeds, verifier-rejected ⇒ absint
-raises).
+Consumers:
 
-Three consumers:
-
+* :func:`profile` — fail-fast interpretation into a :class:`StaticProfile`
+  (raises :class:`AbsIntError`, a ``ScheduleError``, on the first error).
+* ``repro.analysis.verifier`` — collect-all interpretation: every
+  diagnostic of a sequence, including the W301–W306 smells.
 * :func:`profile_many` — fixed-width float32 static-feature plane
   (``STATIC_FEATURE_NAMES`` columns) for screening models.
 * :func:`draft_scores` — Pruner-style draft score: the static profile is
   costed on the target's *reference* ``simhw`` platform, no TLP model
   involved.  ``CandidateScorer.propose_topk(draft_keep=...)`` uses it to
   run ``TLPModel.predict`` on the top slice only.
-* :func:`smell_diagnostics` — the W304–W306 facts the verifier emits
-  (footprint vs last-level cache, under-parallelization, unroll bodies
-  past the icache budget).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.diagnostics import Diagnostic, make
 from repro.simhw.cache import (
     BYTES_PER_POINT,
     NestFeatures,
@@ -65,21 +63,46 @@ from repro.tensorir.primitives import (
     fused_name,
     split_names,
 )
-from repro.tensorir.schedule import PAD_ALLOWANCE, split_parts
+from repro.tensorir.schedule import PAD_ALLOWANCE, ScheduleError, split_parts
 from repro.tensorir.subgraph import Subgraph
 
 
-class AbsIntError(Exception):
-    """A primitive sequence is invalid under abstract interpretation.
+@dataclass(frozen=True)
+class VerifierConfig:
+    """Tunable thresholds for the structural rules and smell detectors."""
 
-    Raised for exactly the sequences the verifier would reject with an
-    error diagnostic (the absint/verifier agreement property); ``step``
-    is the index of the offending primitive.
+    #: Max allowed ratio of padded iterations to the true extent for one
+    #: split (DESIGN.md §6: bounded padding keeps latency spreads sane).
+    #: Defaults to the same constant the sampler's by-construction check
+    #: uses, so the two cannot drift.
+    pad_allowance: float = PAD_ALLOWANCE
+    #: Middle-loop extents >= this that are powers of two trigger W301.
+    #: The default is ``repro.simhw.cache.POW2_CONFLICT_THRESHOLD`` — one
+    #: shared constant, so the static smell marks exactly what the
+    #: simulated hardware punishes.
+    pow2_conflict_threshold: int = POW2_CONFLICT_THRESHOLD
+    #: ``auto_unroll_max_step`` values above this trigger W302.
+    max_auto_unroll: int = 512
+    #: Thresholds for W304/W305/W306; ``None`` derives each from the
+    #: worst platform of the target (``reference_llc_kb`` and friends).
+    footprint_llc_kb: float | None = None
+    parallel_min_extent: int | None = None
+    unroll_body_budget: int | None = None
+
+
+class AbsIntError(ScheduleError):
+    """Fail-fast interpretation met an error diagnostic.
+
+    A ``ScheduleError``, so ``Schedule.apply()`` raises it unchanged.
+    ``diagnostic`` is the error at primitive ``step``; ``diagnostics``
+    adds the warnings the run emitted before it.
     """
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
-        self.step = step
+    def __init__(self, diagnostic: Diagnostic, warnings: Sequence[Diagnostic] = ()):
+        super().__init__(f"step {diagnostic.primitive_index}: {diagnostic.message}")
+        self.diagnostic = diagnostic
+        self.diagnostics = [*warnings, diagnostic]
+        self.step = diagnostic.primitive_index
 
 
 @dataclass(frozen=True)
@@ -124,7 +147,7 @@ class AbstractLoop:
 
     @property
     def extent(self) -> int:
-        """The concrete (padded) trip count — what the applier produces."""
+        """The concrete (padded) trip count of the loop."""
         return self.trip.hi
 
 
@@ -206,7 +229,7 @@ class StaticProfile:
     #: (step index, axis name) per ``unroll`` annotation.
     unroll_facts: tuple[tuple[int, str], ...]
     #: Per-step nest snapshots ((name, extent), ...) when profiled with
-    #: ``trace=True`` — the differential hook against ``apply_trace``.
+    #: ``trace=True`` — the differential hook against a reference applier.
     trace: tuple[tuple[tuple[str, int], ...], ...] | None = None
 
     @property
@@ -229,8 +252,8 @@ class StaticProfile:
         return self.padded_points() / self.domain_points
 
     def to_nest(self) -> LoopNest:
-        """Concretize the abstract nest — must equal ``Schedule.apply()``
-        output on any verifier-clean sequence (the differential property)."""
+        """Concretize the abstract nest: the loop nest ``Schedule.apply()``
+        returns."""
         return LoopNest(
             subgraph_name=self.subgraph_name,
             loops=[
@@ -355,247 +378,375 @@ class StaticProfile:
         return np.asarray(row, dtype=np.float32)
 
 
-@dataclass
-class _MutableLoop:
-    name: str
-    trip: Interval
-    is_reduction: bool
-    kind: LoopKind = LoopKind.SERIAL
-    thread_tag: str = ""
-    pragmas: tuple[tuple[str, int], ...] = ()
-    rfactored: bool = False
+class Interpreter:
+    """The semantics of primitive sequences against one subgraph and target.
 
-    def freeze(self) -> AbstractLoop:
-        return AbstractLoop(
-            self.name,
-            self.trip,
-            self.is_reduction,
-            self.kind,
-            self.thread_tag,
-            self.pragmas,
-            self.rfactored,
-        )
+    Every primitive kind has one transfer function (``_visit_<kind>``) that
+    checks the step's rules — E1xx structural, E2xx liveness/dataflow,
+    W301–W303 smells — and updates the abstract nest.  A run has one of
+    two modes:
 
+    * **fail-fast** (:meth:`profile`): the first error diagnostic raises
+      :class:`AbsIntError`; otherwise the run yields a :class:`StaticProfile`.
+    * **collect** (:meth:`diagnose`): errors are recorded and the run
+      recovers best-effort, so one corrupt step does not mask later ones.
+      A step that fails a check leaves the nest as it was, except that an
+      E108 extent mismatch splits the tracked extent and an E203 name
+      collision skips only the colliding definition; a primitive after
+      compute-inline (E206) ends the run.  A sequence without errors
+      also gets the W304–W306 smells of its final nest.
 
-@dataclass
-class _Interpreter:
-    """One abstract execution of a sequence over the loop-interval domain.
-
-    Bookkeeping intentionally mirrors *both* reference implementations:
-    loop structure follows the applier (fuse drops annotations, split
-    drops pragmas), while rejection follows the stricter verifier (bound
-    thread tags and axis-name history persist across fuse/split, the
-    padding allowance is enforced) — so absint rejects exactly the
-    sequences the verifier errors on and concretizes to exactly the nest
-    the applier builds on the rest.
+    The set-up (initial nest, thresholds) happens once per instance, the
+    outcome of each distinct split is worked out once per instance, and a
+    run resets only the per-sequence state — so reusing one instance over
+    a batch is much cheaper than constructing one per sequence.  The split
+    memo grows with the distinct splits an instance sees; instances live
+    for one batch or one verifier.
     """
 
-    subgraph: Subgraph
-    target: str
-    primitives: tuple[Primitive, ...]
-    pad_allowance: float = PAD_ALLOWANCE
+    def __init__(
+        self, subgraph: Subgraph, target: str = "cpu", config: VerifierConfig | None = None
+    ):
+        config = config or VerifierConfig()
+        self.subgraph = subgraph
+        self.target = target
+        self.config = config
+        self._initial = tuple(
+            AbstractLoop(a.name, Interval(a.extent, a.extent), a.is_reduction)
+            for a in subgraph.axes
+        )
+        self._initial_axes = dict.fromkeys(a.name for a in subgraph.axes)
+        self._domain_points = subgraph.total_points
+        self._flops_per_point = float(subgraph.flops_per_point)
+        self._pad_limit = 1.0 + config.pad_allowance
+        self._smell_bars: tuple[float, int, int] | None = None
+        self._split_memo: dict = {}
 
-    loops: list[_MutableLoop] = field(init=False)
-    seen_names: set[str] = field(init=False)
-    bound_tags: set[str] = field(init=False)
+    # -- runs ---------------------------------------------------------------
 
-    def __post_init__(self) -> None:
-        self.loops = [
-            _MutableLoop(a.name, Interval(a.extent, a.extent), a.is_reduction)
-            for a in self.subgraph.axes
-        ]
-        self.seen_names = {a.name for a in self.subgraph.axes}
-        self.bound_tags = set()
-        self.cache_write = False
-        self.inlined = False
-        self.compute_at_axis = ""
-        self.compute_root = False
-        self.rfactor_seen = False
-        self.parallel_facts: list[tuple[int, str, int]] = []
-        self.unroll_facts: list[tuple[int, str]] = []
-        self._step = 0
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _fail(self, message: str):
-        raise AbsIntError(self._step, message)
-
-    def _index(self, axis: str) -> int:
-        for i, l in enumerate(self.loops):
-            if l.name == axis:
-                return i
-        if axis in self.seen_names:
-            self._fail(f"axis {axis!r} was already consumed")
-        self._fail(f"axis {axis!r} was never defined")
-
-    def _check_arity(self, kind: PrimitiveKind, prim: Primitive) -> None:
-        n_axes, min_ints, max_ints, needs_attr = ARITY[kind]
-        if n_axes is not None and len(prim.axes) != n_axes:
-            self._fail(f"{kind.value} expects {n_axes} axis, got {len(prim.axes)}")
-        if len(prim.ints) < min_ints or (max_ints is not None and len(prim.ints) > max_ints):
-            self._fail(f"{kind.value} has bad numeric arity {list(prim.ints)}")
-        if needs_attr and not prim.attr:
-            self._fail(f"{kind.value} requires an attr token")
-
-    # -- the run ----------------------------------------------------------
-
-    def run(self, trace: bool = False) -> StaticProfile:
-        snapshots: list[tuple[tuple[str, int], ...]] = []
-        for index, prim in enumerate(self.primitives):
-            self._step = index
-            kind = KIND_BY_VALUE.get(prim.kind)
-            if kind is None:
-                self._fail(f"unknown primitive kind {prim.kind!r}")
-            if self.inlined:
-                self._fail(f"{kind.value} after compute-inline")
-            self._check_arity(kind, prim)
-            getattr(self, f"_visit_{kind.value.lower()}")(prim)
-            if trace:
-                snapshots.append(tuple((l.name, l.trip.hi) for l in self.loops))
+    def profile(self, primitives: Sequence[Primitive], *, trace: bool = False) -> StaticProfile:
+        """Fail-fast: the sequence's static profile, or :class:`AbsIntError`."""
+        snapshots = self._run(primitives, fail_fast=True, trace=trace)
         return StaticProfile(
             subgraph_name=self.subgraph.name,
             target=self.target,
             n_steps=len(self.primitives),
-            loops=tuple(l.freeze() for l in self.loops),
+            loops=tuple(self.loops),
             cache_write=self.cache_write,
-            inlined=self.inlined,
+            inlined=self.inlined_at is not None,
             compute_at_axis=self.compute_at_axis,
             compute_root=self.compute_root,
-            domain_points=self.subgraph.total_points,
-            flops_per_point=float(self.subgraph.flops_per_point),
+            domain_points=self._domain_points,
+            flops_per_point=self._flops_per_point,
             parallel_facts=tuple(self.parallel_facts),
             unroll_facts=tuple(self.unroll_facts),
-            trace=tuple(snapshots) if trace else None,
+            trace=snapshots,
         )
 
-    # -- split family -----------------------------------------------------
+    def diagnose(
+        self, primitives: Sequence[Primitive], *, stop_on_error: bool = False
+    ) -> list[Diagnostic]:
+        """Every diagnostic of one sequence, in emission order.
 
-    def _split(self, axis: str, carried_extent: int, factors: tuple[int, ...]) -> None:
-        bad = [f for f in factors if not isinstance(f, int) or f < 1]
-        if bad:
-            self._fail(f"split of {axis!r} has non-positive factors {bad}")
-        idx = self._index(axis)
-        old = self.loops[idx]
-        extent = old.trip.hi
-        if carried_extent != extent:
-            self._fail(
-                f"split of {axis!r} carries extent {carried_extent}, "
-                f"abstract extent is {extent}"
+        With ``stop_on_error`` the run is fail-fast: it returns the
+        warnings before the first error plus that error, and skips the
+        W304–W306 smells.
+        """
+        try:
+            self._run(primitives, fail_fast=stop_on_error)
+        except AbsIntError as err:
+            return err.diagnostics
+        if not (self.failed or stop_on_error):
+            self._smells()
+        return self.diags
+
+    def _run(
+        self, primitives: Sequence[Primitive], fail_fast: bool, trace: bool = False
+    ) -> tuple[tuple[tuple[str, int], ...], ...] | None:
+        """Interpret one sequence into the per-run state below; returns the
+        per-step ``(name, extent)`` snapshots when tracing."""
+        self.primitives = primitives = tuple(primitives)
+        self.fail_fast = fail_fast
+        self.failed = False
+        self.diags: list[Diagnostic] = []
+        self.loops = list(self._initial)  # the live loops, outermost first
+        #: Every axis ever defined -> the step that consumed it (None: live).
+        self.axes: dict[str, int | None] = dict(self._initial_axes)
+        self.bound_tags: set[str] = set()
+        self.cache_write = self.compute_root = self.rfactored = False
+        self.compute_at_axis = ""
+        self.inlined_at: int | None = None
+        self.parallel_facts: list[tuple[int, str, int]] = []
+        self.unroll_facts: list[tuple[int, str]] = []
+        snapshots = []
+        for index, prim in enumerate(primitives):
+            self.step = index
+            kind = KIND_BY_VALUE.get(prim.kind)
+            if kind is None:
+                self._emit("E101", f"unknown primitive kind {prim.kind!r}")
+            elif self.inlined_at is not None:
+                self._emit(
+                    "E206", f"{kind.value} after compute-inline at step {self.inlined_at}"
+                )
+                break
+            elif self._arity_ok(kind, prim):
+                _VISITORS[kind](self, prim)
+            if trace:
+                snapshots.append(tuple((l.name, l.extent) for l in self.loops))
+        return tuple(snapshots) if trace else None
+
+    # -- plumbing -----------------------------------------------------------
+
+    def _emit(self, code: str, message: str, axis: str = "") -> None:
+        diag = make(code, self.step, message, axis)
+        if diag.is_error:
+            if self.fail_fast:
+                raise AbsIntError(diag, self.diags)
+            self.failed = True
+        self.diags.append(diag)
+
+    def _arity_ok(self, kind: PrimitiveKind, prim: Primitive) -> bool:
+        n_axes, min_ints, max_ints, needs_attr = ARITY[kind]
+        ok = True
+        if n_axes is not None and len(prim.axes) != n_axes:
+            self._emit("E101", f"{kind.value} expects {n_axes} axis, got {len(prim.axes)}")
+            ok = False
+        if len(prim.ints) < min_ints or (max_ints is not None and len(prim.ints) > max_ints):
+            self._emit("E101", f"{kind.value} has bad numeric arity {list(prim.ints)}")
+            ok = False
+        if needs_attr and not prim.attr:
+            self._emit("E101", f"{kind.value} requires an attr token")
+            ok = False
+        return ok
+
+    def _live(self, axis: str) -> int | None:
+        """Position of the live loop ``axis``, or ``None`` after an E201/E202."""
+        if axis not in self.axes:
+            self._emit("E201", f"axis {axis!r} is not live: it was never defined", axis)
+        elif self.axes[axis] is not None:
+            self._emit(
+                "E202", f"axis {axis!r} is not live: step {self.axes[axis]} consumed it", axis
             )
+        else:
+            return [l.name for l in self.loops].index(axis)
+        return None
+
+    def _consume(self, at: int, n: int = 1) -> list[AbstractLoop]:
+        consumed = self.loops[at : at + n]
+        del self.loops[at : at + n]
+        for loop in consumed:
+            self.axes[loop.name] = self.step
+        return consumed
+
+    def _define(self, at: int, loop: AbstractLoop) -> None:
+        if loop.name in self.axes:
+            self._emit("E203", f"axis {loop.name!r} defined twice", loop.name)
+            return
+        self.axes[loop.name] = None
+        self.loops.insert(at, loop)
+
+    # -- split family -------------------------------------------------------
+
+    def _split(self, prim: Primitive, factors: tuple[int, ...]) -> None:
+        (axis,) = prim.axes
+        at = self._live(axis)
+        if at is None:
+            return
+        # What a split does depends only on these, so it is worked out once
+        # per instance — sampled batches repeat the same splits constantly.
+        loop = self.loops[at]
+        key = (prim.ints[0], factors, axis, loop.trip.lo, loop.trip.hi, loop.is_reduction)
+        outcome = self._split_memo.get(key)
+        if outcome is None:
+            outcome = self._split_memo[key] = self._split_outcome(prim.ints[0], factors, loop)
+        findings, parts = outcome
+        for code, message in findings:
+            self._emit(code, message, axis)
+        if parts is None:
+            return
+        self._consume(at)
+        for offset, part in enumerate(parts):
+            self._define(at + offset, part)
+
+    def _split_outcome(
+        self, carried: int, factors: tuple[int, ...], loop: AbstractLoop
+    ) -> tuple[tuple[tuple[str, str], ...], tuple[AbstractLoop, ...] | None]:
+        """The findings of splitting a live loop, and the loops it becomes
+        (``None`` when the split is rejected).  An E108 extent mismatch
+        does not reject: the tracked extent is split."""
+        findings = []
+        axis, extent = loop.name, loop.extent
+        if carried != extent:
+            findings.append((
+                "E108", f"split of {axis!r} carries extent {carried}, tracked extent is {extent}"
+            ))
         parts = split_parts(extent, factors)
         padded = math.prod(parts)
-        if padded > extent * (1.0 + self.pad_allowance):
-            self._fail(
+        if padded > extent * self._pad_limit:
+            findings.append((
+                "E103",
                 f"split of {axis!r} pads {extent} to {padded}, beyond the "
-                f"{self.pad_allowance:.0%} allowance"
-            )
-        names = split_names(axis, len(parts))
-        for name in names:
-            if name in self.seen_names:
-                self._fail(f"axis {name!r} defined twice")
-        trips = _split_intervals(old.trip, parts, padded)
-        self.loops[idx : idx + 1] = [
-            _MutableLoop(name, trip, old.is_reduction)
-            for name, trip in zip(names, trips)
-        ]
-        self.seen_names.update(names)
+                f"{self.config.pad_allowance:.0%} allowance",
+            ))
+            return tuple(findings), None
+        for f in factors:
+            if f == 1 or f == extent:
+                findings.append(("W303", f"degenerate split factor {f} on {axis!r}"))
+        for f in factors[:-1]:
+            if f >= self.config.pow2_conflict_threshold and (f & (f - 1)) == 0:
+                findings.append((
+                    "W301",
+                    f"middle-loop extent {f} on {axis!r} is a large power of two "
+                    "(cache-set / bank conflict smell)",
+                ))
+        trips = _split_intervals(loop.trip, parts, padded)
+        return tuple(findings), tuple(
+            AbstractLoop(name, trip, loop.is_reduction)
+            for name, trip in zip(split_names(axis, len(parts)), trips)
+        )
 
     def _visit_sp(self, prim: Primitive) -> None:
-        self._split(prim.axes[0], prim.ints[0], tuple(prim.ints[1:]))
+        factors = tuple(prim.ints[1:])
+        bad = [f for f in factors if not isinstance(f, int) or f < 1]
+        if bad:
+            self._emit(
+                "E102", f"split of {prim.axes[0]!r} has non-positive factors {bad}", prim.axes[0]
+            )
+            return
+        self._split(prim, factors)
 
     def _visit_fsp(self, prim: Primitive) -> None:
         (axis,) = prim.axes
         src_step = prim.ints[1]
         if not 0 <= src_step < len(self.primitives):
-            self._fail(f"follow-split references missing step {src_step}")
-        if src_step >= self._step:
-            self._fail(
+            self._emit("E107", f"follow-split references missing step {src_step}", axis)
+            return
+        if src_step >= self.step:
+            # Ansor traces are strictly causal: a follow-split can only
+            # reuse the factors of a step that already executed.
+            self._emit(
+                "E107",
                 f"follow-split references step {src_step}, which is not strictly "
-                f"earlier than step {self._step}"
+                f"earlier than step {self.step}",
+                axis,
             )
+            return
         src = self.primitives[src_step]
-        if KIND_BY_VALUE.get(src.kind) is not PrimitiveKind.SP or len(src.ints) < 2:
-            self._fail(f"follow-split references step {src_step} which is not a split")
-        self._split(axis, prim.ints[0], tuple(src.ints[1:]))
+        if src.kind is not PrimitiveKind.SP or len(src.ints) < 2:
+            self._emit(
+                "E107", f"follow-split references step {src_step} which is not a split", axis
+            )
+            return
+        factors = tuple(src.ints[1:])
+        if any(not isinstance(f, int) or f < 1 for f in factors):
+            self._emit("E102", f"followed split has non-positive factors {factors}", axis)
+            return
+        self._split(prim, factors)
 
-    # -- order primitives -------------------------------------------------
+    # -- order primitives ---------------------------------------------------
 
     def _visit_re(self, prim: Primitive) -> None:
         named = list(prim.axes)
-        for axis in dict.fromkeys(named):  # order-preserving dedup
-            self._index(axis)
+        # dict.fromkeys, not set(): diagnostic emission order must not
+        # depend on string hashing (bit-reproducibility, lint rule SC105).
+        for axis in dict.fromkeys(named):
+            self._live(axis)
         live = [l.name for l in self.loops]
         if sorted(named) != sorted(live):
-            self._fail(f"reorder {named} is not a permutation of the live order {live}")
+            self._emit("E104", f"reorder {named} is not a permutation of the live order {live}")
+            return
         by_name = {l.name: l for l in self.loops}
         self.loops = [by_name[n] for n in named]
 
     def _visit_fu(self, prim: Primitive) -> None:
         named = list(prim.axes)
         if len(named) < 2 or len(set(named)) != len(named):
-            self._fail(f"fuse needs >=2 distinct axes, got {named}")
-        indices = [self._index(a) for a in named]
-        if indices != list(range(indices[0], indices[0] + len(indices))):
-            self._fail(f"fuse axes {named} are not adjacent")
-        merged = self.loops[indices[0] : indices[-1] + 1]
-        name = fused_name(tuple(named))
-        if name in self.seen_names:
-            self._fail(f"axis {name!r} defined twice")
+            self._emit("E109", f"fuse needs >=2 distinct axes, got {named}")
+            return
+        positions = [self._live(a) for a in named]
+        if None in positions:
+            return
+        at = positions[0]
+        if positions != list(range(at, at + len(positions))):
+            live = [l.name for l in self.loops]
+            self._emit("E109", f"fuse axes {named} are not adjacent in {live}")
+            return
+        merged = self._consume(at, len(named))
         trip = merged[0].trip
-        for l in merged[1:]:
-            trip = trip * l.trip
-        fused = _MutableLoop(name, trip, any(l.is_reduction for l in merged))
-        self.loops[indices[0] : indices[-1] + 1] = [fused]
-        self.seen_names.add(name)
+        for loop in merged[1:]:
+            trip = trip * loop.trip
+        is_reduction = any(l.is_reduction for l in merged)
+        self._define(at, AbstractLoop(fused_name(named), trip, is_reduction))
 
-    # -- annotation primitives --------------------------------------------
+    # -- annotation primitives ----------------------------------------------
 
     def _visit_an(self, prim: Primitive) -> None:
         (axis,) = prim.axes
         if prim.attr not in ANNOTATIONS:
-            self._fail(f"unknown annotation {prim.attr!r}")
+            self._emit("E105", f"unknown annotation {prim.attr!r}", axis)
+            return
         is_bind = prim.attr.startswith(GPU_BIND_PREFIX)
         if is_bind and self.target != "gpu":
-            self._fail(f"GPU bind {prim.attr!r} under target {self.target!r}")
-        loop = self.loops[self._index(axis)]
+            self._emit("E106", f"GPU bind {prim.attr!r} under target {self.target!r}", axis)
+            return
+        at = self._live(axis)
+        if at is None:
+            return
+        loop = self.loops[at]
         if loop.kind is not LoopKind.SERIAL:
-            self._fail(f"axis {axis!r} already annotated as {loop.kind.value}")
+            self._emit("E205", f"axis {axis!r} already annotated as {loop.kind.value}", axis)
+            return
         if is_bind:
             tag = prim.attr[len(GPU_BIND_PREFIX) :]
             if tag in self.bound_tags:
-                self._fail(f"thread tag {tag!r} bound twice")
+                self._emit("E205", f"thread tag {tag!r} bound twice", axis)
+                return
             self.bound_tags.add(tag)
-            loop.kind = LoopKind.BOUND
-            loop.thread_tag = tag
-        else:
-            loop.kind = ANNOTATION_KINDS[prim.attr]
-            if prim.attr == "parallel":
-                self.parallel_facts.append((self._step, axis, loop.trip.hi))
-            elif prim.attr == "unroll":
-                self.unroll_facts.append((self._step, axis))
+            self.loops[at] = replace(loop, kind=LoopKind.BOUND, thread_tag=tag)
+            return
+        self.loops[at] = replace(loop, kind=ANNOTATION_KINDS[prim.attr])
+        if prim.attr == "parallel":
+            self.parallel_facts.append((self.step, axis, loop.extent))
+        elif prim.attr == "unroll":
+            self.unroll_facts.append((self.step, axis))
 
     def _visit_pr(self, prim: Primitive) -> None:
         (axis,) = prim.axes
         if prim.attr not in PRAGMAS:
-            self._fail(f"unknown pragma {prim.attr!r}")
-        loop = self.loops[self._index(axis)]
-        loop.pragmas = (*loop.pragmas, (prim.attr, prim.ints[0]))
+            self._emit("E105", f"unknown pragma {prim.attr!r}", axis)
+            return
+        at = self._live(axis)
+        if at is None:
+            return
+        (value,) = prim.ints
+        if prim.attr == "auto_unroll_max_step" and value > self.config.max_auto_unroll:
+            self._emit(
+                "W302",
+                f"auto_unroll_max_step {value} exceeds cap {self.config.max_auto_unroll}",
+                axis,
+            )
+        loop = self.loops[at]
+        self.loops[at] = replace(loop, pragmas=(*loop.pragmas, (prim.attr, value)))
 
-    # -- stage primitives -------------------------------------------------
+    # -- stage primitives ---------------------------------------------------
 
     def _visit_ca(self, prim: Primitive) -> None:
-        self._index(prim.axes[0])
-        self.compute_at_axis = prim.axes[0]
+        if self._live(prim.axes[0]) is not None:
+            self.compute_at_axis = prim.axes[0]
 
     def _visit_chw(self, prim: Primitive) -> None:
         self.cache_write = True
 
     def _visit_rf(self, prim: Primitive) -> None:
-        loop = self.loops[self._index(prim.axes[0])]
-        if not loop.is_reduction:
-            self._fail(f"rfactor of non-reduction axis {prim.axes[0]!r}")
-        loop.rfactored = True
-        self.rfactor_seen = True
+        (axis,) = prim.axes
+        at = self._live(axis)
+        if at is None:
+            return
+        if not self.loops[at].is_reduction:
+            self._emit("E204", f"rfactor of non-reduction axis {axis!r}", axis)
+            return
+        self.loops[at] = replace(self.loops[at], rfactored=True)
+        self.rfactored = True
 
     def _visit_ci(self, prim: Primitive) -> None:
         conflicts = [
@@ -604,16 +755,86 @@ class _Interpreter:
                 ("CHW", self.cache_write),
                 ("CA", bool(self.compute_at_axis)),
                 ("CP", self.compute_root),
-                ("RF", self.rfactor_seen),
+                ("RF", self.rfactored),
             )
             if flag
         ]
         if conflicts:
-            self._fail(f"compute-inline conflicts with {'/'.join(conflicts)}")
-        self.inlined = True
+            self._emit("E206", f"compute-inline conflicts with {'/'.join(conflicts)}")
+            return
+        self.inlined_at = self.step
 
     def _visit_cp(self, prim: Primitive) -> None:
         self.compute_root = True
+
+    # -- whole-nest smells --------------------------------------------------
+
+    def _smells(self) -> None:
+        """W304–W306 of an error-free run, from its final nest.
+
+        Thresholds default to the *worst* platform of the target — the
+        smallest last-level cache, core count, and unroll cap — so a
+        warning means "smells on at least one simulated device".
+        """
+        if self._smell_bars is None:
+            cfg = self.config
+            self._smell_bars = (
+                reference_llc_kb(self.target) if cfg.footprint_llc_kb is None
+                else cfg.footprint_llc_kb,
+                reference_min_cores(self.target) if cfg.parallel_min_extent is None
+                else cfg.parallel_min_extent,
+                reference_unroll_budget(self.target) if cfg.unroll_body_budget is None
+                else cfg.unroll_body_budget,
+            )
+        llc_kb, min_parallel_extent, unroll_body_budget = self._smell_bars
+        target, loops, diags = self.target, self.loops, self.diags
+
+        # W304: one outermost-loop iteration's working set overflows the LLC.
+        if loops and self.inlined_at is None:
+            tile_bytes = working_set_bytes(math.prod(l.extent for l in loops[1:]))
+            if tile_bytes > llc_kb * 1024.0:
+                diags.append(make(
+                    "W304",
+                    -1,
+                    f"static outer-tile working set {tile_bytes / 1024.0:.0f} KB "
+                    f"exceeds the {llc_kb:.0f} KB last-level cache of the "
+                    f"smallest {target} platform",
+                ))
+
+        # W305: parallel annotation on an axis too small to feed the cores.
+        for step, axis, extent in self.parallel_facts:
+            if extent < min_parallel_extent:
+                diags.append(make(
+                    "W305",
+                    step,
+                    f"parallel annotation on {axis!r} with abstract extent "
+                    f"{extent}, below the minimum core count "
+                    f"{min_parallel_extent} of the {target} platforms",
+                    axis,
+                ))
+
+        # W306: unroll directive whose statically-bounded body blows the icache.
+        names = [l.name for l in loops]
+        for step, axis in self.unroll_facts:
+            if axis not in names:
+                continue  # annotated loop later split or fused away
+            body_points = math.prod(l.extent for l in loops[names.index(axis):])
+            body_instrs = body_points * max(self._flops_per_point, 1.0)
+            if body_instrs > unroll_body_budget:
+                diags.append(make(
+                    "W306",
+                    step,
+                    f"unroll of {axis!r} replicates a statically-bounded body of "
+                    f"~{body_instrs:.0f} instructions, beyond the {target} "
+                    f"icache budget {unroll_body_budget}",
+                    axis,
+                ))
+
+
+#: Transfer function per kind, resolved once.
+_VISITORS = {
+    kind: getattr(Interpreter, f"_visit_{kind.value.lower()}") for kind in PrimitiveKind
+}
 
 
 def _split_intervals(
@@ -645,7 +866,7 @@ def _split_intervals(
     )
 
 
-def _primitives_of(sequence: "Primitive | object") -> tuple[Primitive, ...]:
+def _primitives_of(sequence: "Sequence[Primitive] | object") -> tuple[Primitive, ...]:
     prims = getattr(sequence, "primitives", sequence)
     return tuple(prims)
 
@@ -655,43 +876,51 @@ def profile(
     sequence: "Sequence[Primitive] | object",
     target: str = "cpu",
     *,
-    pad_allowance: float = PAD_ALLOWANCE,
     trace: bool = False,
 ) -> StaticProfile:
     """Abstractly interpret one sequence (a ``Schedule`` or primitive
-    tuple), raising :class:`AbsIntError` on any invalid step."""
-    interp = _Interpreter(
-        subgraph, target, _primitives_of(sequence), pad_allowance=pad_allowance
-    )
-    return interp.run(trace=trace)
+    tuple), raising :class:`AbsIntError` on its first error diagnostic."""
+    return Interpreter(subgraph, target).profile(_primitives_of(sequence), trace=trace)
+
+
+def _profiles(
+    subgraph: Subgraph,
+    sequences: Sequence["StaticProfile | Sequence[Primitive] | object"],
+    target: str,
+) -> list[StaticProfile]:
+    """Profiles of a batch; items that already are profiles pass through."""
+    interp = Interpreter(subgraph, target)
+    return [
+        s if isinstance(s, StaticProfile) else interp.profile(_primitives_of(s))
+        for s in sequences
+    ]
 
 
 def profile_many(
     subgraph: Subgraph,
-    sequences: Sequence["Sequence[Primitive] | object"],
+    sequences: Sequence["StaticProfile | Sequence[Primitive] | object"],
     target: str = "cpu",
 ) -> np.ndarray:
     """Static-feature plane (float32 ``[N, len(STATIC_FEATURE_NAMES)]``)
-    for a batch of already-valid sequences against one subgraph."""
-    n = len(sequences)
-    plane = np.empty((n, len(STATIC_FEATURE_NAMES)), dtype=np.float32)
-    for i, seq in enumerate(sequences):
-        plane[i] = profile(subgraph, seq, target).features()
+    for a batch of already-valid sequences (or their profiles) against
+    one subgraph."""
+    profiles = _profiles(subgraph, sequences, target)
+    plane = np.empty((len(profiles), len(STATIC_FEATURE_NAMES)), dtype=np.float32)
+    for i, prof in enumerate(profiles):
+        plane[i] = prof.features()
     return plane
 
 
 def nest_features(
     subgraph: Subgraph, profiles: Sequence[StaticProfile]
 ) -> NestFeatures:
-    """``simhw.cache.NestFeatures`` built from static profiles alone —
-    bit-identical to ``NestFeatures.from_nests`` over the applied nests
-    (the three-subsystem differential property)."""
+    """``simhw.cache.NestFeatures`` built from static profiles alone."""
     return NestFeatures.from_nests(subgraph, [p.to_nest() for p in profiles])
 
 
 def draft_scores(
     subgraph: Subgraph,
-    sequences: Sequence["Sequence[Primitive] | object"],
+    sequences: Sequence["StaticProfile | Sequence[Primitive] | object"],
     target: str = "cpu",
 ) -> np.ndarray:
     """Pruner-style static draft scores, higher = better (float32 ``[N]``).
@@ -699,104 +928,28 @@ def draft_scores(
     Costs each static profile on the target's reference platform with the
     analytical ``simhw`` model — no quirk term, no learned model — and
     normalizes to ``min_latency / latency`` like the TLP training label.
+    Items that already are profiles (e.g. the sampler gate's) are not
+    interpreted again.
     """
     from repro.simhw import cpu_model, gpu_model  # local: keep verifier import light
 
     if not sequences:
         return np.empty(0, dtype=np.float32)
-    profiles = [profile(subgraph, seq, target) for seq in sequences]
-    feats = nest_features(subgraph, profiles)
+    feats = nest_features(subgraph, _profiles(subgraph, sequences, target))
     model = gpu_model if target == "gpu" else cpu_model
     seconds, _ = model.latency_seconds(feats, reference_platform(target))
     floor = np.maximum(seconds, np.float32(1e-30))
     return (floor.min() / floor).astype(np.float32)
 
 
-def smell_diagnostics(
-    subgraph: Subgraph,
-    primitives: tuple[Primitive, ...],
-    target: str = "cpu",
-    *,
-    llc_kb: float | None = None,
-    min_parallel_extent: int | None = None,
-    unroll_body_budget: int | None = None,
-) -> list:
-    """W304–W306 diagnostics from absint facts (empty if absint rejects).
-
-    Thresholds default to the *worst* platform of the target — the
-    smallest last-level cache, core count, and unroll cap — so a warning
-    means "smells on at least one simulated device".
-    """
-    from repro.analysis.diagnostics import Diagnostic, make  # local: avoid cycle
-
-    try:
-        prof = profile(subgraph, primitives, target)
-    except AbsIntError:
-        return []
-    diags: list[Diagnostic] = []
-    if llc_kb is None:
-        llc_kb = reference_llc_kb(target)
-    if min_parallel_extent is None:
-        min_parallel_extent = reference_min_cores(target)
-    if unroll_body_budget is None:
-        unroll_body_budget = reference_unroll_budget(target)
-
-    # W304: one outermost-loop iteration's working set overflows the LLC.
-    if prof.loops and not prof.inlined:
-        tile_bytes = working_set_bytes(prof.outer_tile_points())
-        if tile_bytes > llc_kb * 1024.0:
-            diags.append(
-                make(
-                    "W304",
-                    -1,
-                    f"static outer-tile working set {tile_bytes / 1024.0:.0f} KB "
-                    f"exceeds the {llc_kb:.0f} KB last-level cache of the "
-                    f"smallest {target} platform",
-                )
-            )
-
-    # W305: parallel annotation on an axis too small to feed the cores.
-    for step, axis, extent in prof.parallel_facts:
-        if extent < min_parallel_extent:
-            diags.append(
-                make(
-                    "W305",
-                    step,
-                    f"parallel annotation on {axis!r} with abstract extent "
-                    f"{extent}, below the minimum core count "
-                    f"{min_parallel_extent} of the {target} platforms",
-                    axis,
-                )
-            )
-
-    # W306: unroll directive whose statically-bounded body blows the icache.
-    by_name = {l.name: i for i, l in enumerate(prof.loops)}
-    for step, axis in prof.unroll_facts:
-        at = by_name.get(axis)
-        if at is None:
-            continue  # annotated loop later fused away
-        body_points = math.prod(l.extent for l in prof.loops[at:])
-        body_instrs = body_points * max(prof.flops_per_point, 1.0)
-        if body_instrs > unroll_body_budget:
-            diags.append(
-                make(
-                    "W306",
-                    step,
-                    f"unroll of {axis!r} replicates a statically-bounded body of "
-                    f"~{body_instrs:.0f} instructions, beyond the {target} "
-                    f"icache budget {unroll_body_budget}",
-                    axis,
-                )
-            )
-    return diags
-
-
 __all__ = [
     "AbsIntError",
     "AbstractLoop",
+    "Interpreter",
     "Interval",
     "STATIC_FEATURE_NAMES",
     "StaticProfile",
+    "VerifierConfig",
     "draft_scores",
     "nest_features",
     "profile",
@@ -805,6 +958,5 @@ __all__ = [
     "reference_min_cores",
     "reference_platform",
     "reference_unroll_budget",
-    "smell_diagnostics",
     "working_set_bytes",
 ]

@@ -1,10 +1,10 @@
 """Pluggable AST repo-lint enforcing DESIGN.md §7 conventions.
 
-The generalization of the original ``selfcheck`` module: every rule is a
+The generalization of the original ``selfcheck`` self-lint (whose name
+survives in the suppression token and the CLI output): every rule is a
 :class:`LintRule` subclass carrying its own id, description, and path
 scope, registered in :data:`RULE_REGISTRY`; one AST walk per file
-dispatches nodes to every in-scope rule.  ``repro.analysis.selfcheck``
-remains as a thin compatibility shim over this module.
+dispatches nodes to every in-scope rule.
 
 Rules (stable ids, never renumbered):
 
@@ -343,7 +343,7 @@ RULE_REGISTRY: tuple[LintRule, ...] = (
     UnusedSuppressionRule(),
 )
 
-#: id -> description, for docs and the CLI (back-compat with selfcheck.RULES).
+#: id -> description, for docs and the CLI.
 RULES: dict[str, str] = {rule.id: rule.description for rule in RULE_REGISTRY}
 
 

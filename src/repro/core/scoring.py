@@ -136,8 +136,8 @@ class CandidateScorer:
                      ) -> tuple[list[Schedule], ScoredTopK]:
         """Sample ``n`` fresh candidates and return them with their top-k.
 
-        Proposals come from ``SketchGenerator.generate_many`` and are
-        therefore verified fail-closed before scoring; the returned
+        Proposals come from the ``SketchGenerator`` and are therefore
+        verified fail-closed before scoring; the returned
         ``ScoredTopK`` consequently has ``n_invalid == 0``.
 
         ``draft_keep`` enables the Pruner-style draft-then-verify path:
@@ -157,13 +157,14 @@ class CandidateScorer:
         k = _require_positive("k", k)
         if draft_keep is not None and not 0.0 < draft_keep <= 1.0:
             raise ValueError(f"draft_keep must be in (0, 1], got {draft_keep}")
-        schedules = self.generator.generate_many(subgraph, n, rng)
         if draft_keep is None:
+            schedules = self.generator.generate_many(subgraph, n, rng)
             kept = np.arange(len(schedules), dtype=np.int64)
         else:
-            draft = absint.draft_scores(
-                subgraph, [_primitives_of(s) for s in schedules],
-                self.generator.config.target)
+            # Drafted from the generation gate's static profiles, so no
+            # candidate is interpreted a second time.
+            schedules, profiles = self.generator.generate_profiled(subgraph, n, rng)
+            draft = absint.draft_scores(subgraph, profiles, self.generator.config.target)
             # Never keep fewer than k (or everything, when n < k): the
             # draft screens, it must not shrink the answer.
             n_keep = max(int(np.ceil(draft_keep * len(schedules))),

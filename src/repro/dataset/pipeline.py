@@ -3,13 +3,13 @@
 One single pass per (task, target) batch does all the work the TenSet
 pipeline spreads over a measurement farm:
 
-1. **Generate** — ``SketchGenerator.generate_many`` samples the task's
-   candidate schedules from a batch-private named rng stream
-   (``spec.candidate_stream``), verified fail-closed in one pass.
-2. **Profile** — ``repro.analysis.absint.profile`` abstractly interprets
-   each sequence *once*, yielding both the static feature plane and the
-   concrete loop nest (``StaticProfile.to_nest()``), so schedules are
-   never applied a second time for measurement.
+1. **Generate** — ``SketchGenerator.generate_profiled`` samples the
+   task's candidate schedules from a batch-private named rng stream
+   (``spec.candidate_stream``), verified fail-closed by one abstract
+   interpretation per sequence.
+2. **Profile** — the gate's static profiles yield both the static
+   feature plane and the concrete loop nest (``StaticProfile.to_nest()``),
+   so no sequence is interpreted a second time.
 3. **Featurize** — ``TLPFeaturizer.transform_into`` writes the
    ``[C, seq_len, emb]`` TLP planes straight into one preallocated batch
    buffer (zero steady-state tensor allocations; the featurizer's memo
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.absint import STATIC_FEATURE_NAMES, profile
+from repro.analysis.absint import STATIC_FEATURE_NAMES
 from repro.core.extractor import TLPFeaturizer
 from repro.core.postprocess import PostprocessConfig
 from repro.dataset.manifest import (
@@ -319,18 +319,14 @@ def _emit_batch(
     C = plan.n_candidates
     stream_name = candidate_stream(spec, task, plan.target)
 
-    schedules = generator.generate_many(
+    # The generation gate's one abstract interpretation per candidate
+    # yields the static plane AND the concrete nest.
+    schedules, profiles = generator.generate_profiled(
         task.subgraph, C, stream(stream_name, spec.root_seed)
     )
-
-    # One abstract interpretation per candidate yields the static plane
-    # AND the concrete nest — the schedule is never applied again.
-    nests = []
-    for i, schedule in enumerate(schedules):
-        prof = profile(task.subgraph, schedule, plan.target)
+    for i, prof in enumerate(profiles):
         static_buf[i] = prof.features()
-        nests.append(prof.to_nest())
-    feats = NestFeatures.from_nests(task.subgraph, nests)
+    feats = NestFeatures.from_nests(task.subgraph, [p.to_nest() for p in profiles])
 
     featurizer.transform_into(schedules, X_buf, mask_buf)
 

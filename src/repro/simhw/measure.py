@@ -9,7 +9,7 @@ schedules takes seconds on one core (``benchmarks/bench_simhw.py``).
 
 Determinism contract: a measurement is a **pure function of
 (subgraph, primitive sequence, platform, root seed)**.  No wall clock
-anywhere (``repro.analysis.selfcheck`` rule SC104 lints for it); the
+anywhere (``repro.analysis.lint`` rule SC104 lints for it); the
 only stochastic ingredient is the deterministic micro-architectural
 "quirk" multiplier, drawn from named ``repro.utils.rng`` streams keyed
 on (ISA family | platform, program-shape signature, root seed) — so
@@ -116,8 +116,19 @@ def extract_features(
     schedules: Sequence["Schedule | Sequence[Primitive]"],
     platform: Platform,
 ) -> NestFeatures:
-    """Apply every schedule and flatten the nests for vectorized costing."""
-    nests = [_coerce_schedule(subgraph, s, platform).apply() for s in schedules]
+    """Interpret every schedule and flatten the nests for vectorized costing.
+
+    Each nest is ``Schedule.apply()``'s, but one interpreter serves the
+    whole batch, so the batch shares its set-up and split outcomes.
+    """
+    # Imported lazily: repro.analysis imports this package.
+    from repro.analysis.absint import Interpreter
+
+    interpreter = Interpreter(subgraph, platform.target)
+    nests = [
+        interpreter.profile(_coerce_schedule(subgraph, s, platform).primitives).to_nest()
+        for s in schedules
+    ]
     return NestFeatures.from_nests(subgraph, nests)
 
 

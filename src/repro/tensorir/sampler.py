@@ -4,8 +4,8 @@ Fills a sketch's free parameters with draws from a caller-supplied
 ``np.random.Generator`` (seeded via ``repro.utils.rng`` — this module
 never touches global randomness).  The sampler mirrors the verifier's
 axis-liveness bookkeeping so the sequences it emits are valid by
-construction; :class:`repro.tensorir.sketch.SketchGenerator` still runs
-the verifier on every sample, fail-closed.
+construction; :class:`repro.tensorir.sketch.SketchGenerator` still
+interprets every sample, fail-closed.
 
 CPU sketches follow Ansor's multi-level tiling: up to four spatial tile
 levels and two reduction levels in S..S R S R S order, the outer spatial

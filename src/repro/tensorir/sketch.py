@@ -4,18 +4,22 @@ A *sketch* (Ansor terminology) is the structural skeleton of a schedule —
 how many tile levels each axis gets, whether a write-cache stage is added,
 which loops are annotated — with the free parameters (split factors,
 unroll steps) filled in by random sampling.  :class:`SketchGenerator`
-composes the two and runs the static verifier on every generated sequence
-fail-closed: an invalid sequence is a bug, not a sample.
+composes the two and interprets every generated sequence fail-closed (an
+invalid sequence is a bug, not a sample), handing the static profiles on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.tensorir.schedule import Schedule
 from repro.tensorir.subgraph import Subgraph
+
+if TYPE_CHECKING:
+    from repro.analysis.absint import StaticProfile
 
 TARGETS = ("cpu", "gpu")
 
@@ -64,25 +68,35 @@ class SketchGenerator:
     def generate_many(
         self, subgraph: Subgraph, n: int, rng: np.random.Generator
     ) -> list[Schedule]:
-        """Sample ``n`` schedules, verified fail-closed in one batch pass.
+        """Sample ``n`` schedules, verified fail-closed.
+
+        Equivalent to ``n`` :meth:`generate` calls on the same ``rng``
+        stream; see :meth:`generate_profiled` for the gate.
+        """
+        return self.generate_profiled(subgraph, n, rng)[0]
+
+    def generate_profiled(
+        self, subgraph: Subgraph, n: int, rng: np.random.Generator
+    ) -> "tuple[list[Schedule], list[StaticProfile]]":
+        """Sample ``n`` schedules and return them with their static profiles.
 
         The sampler constructs sequences that are valid by definition of
-        its own bookkeeping, so verification is a guard against sampler
-        bugs, not a filter: it runs once over the whole batch
-        (``repro.analysis.assert_valid_many`` reuses a single verifier and
-        early-exits each sequence) instead of constructing a fresh
-        verifier per sample.  Equivalent to ``n`` :meth:`generate` calls
-        on the same ``rng`` stream, just cheaper.
+        its own bookkeeping, so the gate is a guard against sampler bugs,
+        not a filter: one fail-fast abstract interpretation per schedule
+        (``repro.analysis.verifier.profile_valid_many``), whose profiles
+        are handed on so callers never interpret a sequence twice.
         """
         # Imported lazily: repro.analysis imports repro.tensorir submodules,
         # so a module-level import here would be circular during package init.
-        from repro.analysis.verifier import assert_valid_many
+        from repro.analysis.verifier import profile_valid_many
         from repro.tensorir.sampler import ScheduleSampler
 
         sampler = ScheduleSampler(self.config)
         schedules = [sampler.sample(subgraph, rng) for _ in range(n)]
-        assert_valid_many(schedules)
-        return schedules
+        profiles = profile_valid_many(
+            subgraph, [s.primitives for s in schedules], self.config.target
+        )
+        return schedules, profiles
 
 
 __all__ = ["SketchConfig", "SketchGenerator", "TARGETS"]

@@ -1,13 +1,13 @@
-"""repro.analysis.absint — the schedule abstract interpreter.
+"""repro.analysis.absint — the one interpreter of primitive sequences.
 
 The load-bearing contract is differential (DESIGN.md §8): on every
 verifier-clean sequence the abstract nest concretizes to *exactly* what
-``Schedule.apply()`` builds (per step, via the traces), and the static
-``NestFeatures`` are bit-identical to featurizing the applied nests; on
-every verifier-rejected sequence the interpreter raises
-:class:`AbsIntError`.  Around that sit unit tests for the interval
-domain, the static feature plane, the draft scores, and the W304–W306
-smells the verifier now emits from absint facts.
+the independent reference applier (``tests/reference_applier.py``)
+builds, per step, and the static ``NestFeatures`` are bit-identical to
+featurizing the reference nests; the fail-fast mode raises
+:class:`AbsIntError` on exactly the sequences the collect mode reports an
+error for.  Around that sit unit tests for the interval domain, the
+static feature plane, the draft scores, and the W304–W306 smells.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_applier
 from corruptions import CORRUPTIONS
 from repro.analysis import absint, has_errors, verify_schedule, verify_sequence
 from repro.analysis.absint import AbsIntError, Interval, StaticProfile
@@ -94,11 +95,11 @@ def test_clean_sequences_profile_and_match_the_applier(schedule):
     assert isinstance(prof, StaticProfile)
     # Final nests identical — loops (name/extent/kind/tag/pragmas/
     # rfactored) and stage state, via LoopNest equality.
-    assert prof.to_nest() == schedule.apply()
+    assert prof.to_nest() == reference_applier.apply(schedule)
     # Per-step name/extent snapshots identical too.
     applied = [
         tuple((l.name, l.extent) for l in snap.loops)
-        for snap in schedule.apply_trace()
+        for snap in reference_applier.apply_trace(schedule)
     ]
     assert list(prof.trace) == applied
     row = prof.features()
@@ -131,7 +132,7 @@ def test_nest_features_bit_identical_to_applied_path():
     batch = gen.generate_many(sg, 48, stream("absint.nestfeat"))
     profiles = [absint.profile(sg, s) for s in batch]
     static = absint.nest_features(sg, profiles)
-    applied = NestFeatures.from_nests(sg, [s.apply() for s in batch])
+    applied = NestFeatures.from_nests(sg, [reference_applier.apply(s) for s in batch])
     for field in ("depth", "extents", "kinds", "is_reduction", "tags",
                   "padded_points", "domain_points", "flops_per_point",
                   "unroll_step", "cache_write", "compute_at", "inlined",
@@ -249,22 +250,13 @@ def test_w306_skips_axes_later_fused_away():
     assert "W306" not in codes(diags)
 
 
-def test_smells_gated_off_on_errors_and_by_config():
+def test_smells_gated_off_on_errors():
     sg = matmul_subgraph()
-    # An erroring sequence gets no absint smells piled on top.
+    # An erroring sequence gets no whole-nest smells piled on top.
     bad = (P.annotate("i", "unroll"), P.split("i", 999, (8,)))
     bad_diags = verify_sequence(sg, bad)
     assert has_errors(bad_diags)
     assert not codes(bad_diags) & {"W304", "W305", "W306"}
-    # And the config switch disables them wholesale.
-    cfg = VerifierConfig(absint_smells=False)
-    diags = verify_sequence(sg, (P.annotate("i", "unroll"),), config=cfg)
-    assert "W306" not in codes(diags)
-
-
-def test_smell_diagnostics_empty_on_uninterpretable_sequence():
-    sg = matmul_subgraph()
-    assert absint.smell_diagnostics(sg, (P.split("i", 999, (8,)),)) == []
 
 
 def test_working_set_matches_simhw_reuse_model():

@@ -1,11 +1,15 @@
-"""Hypothesis properties tying the verifier to the applier.
+"""Hypothesis properties tying the verifier to the reference applier.
+
+``tests/reference_applier.py`` is a concrete implementation independent
+of the interpreter the verifier runs, so these stay non-tautological.
 
 1. Soundness of acceptance: any sampler-generated sequence the verifier
-   passes clean applies without exception.
+   passes clean applies on the reference without exception, to the nest
+   ``Schedule.apply()`` returns.
 2. Sensitivity: any single-field corruption of a valid sequence is
    flagged with the corruption's designated error code.
 3. FSP-reference agreement: perturbing a follow-split's src_step_index
-   never opens a gap between the verifier and the applier — a clean
+   never opens a gap between the verifier and the reference — a clean
    verdict still applies, and an E107 verdict still fails to apply.
 """
 
@@ -16,6 +20,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_applier
 from corruptions import CORRUPTIONS
 from repro.analysis import has_errors, verify_sequence, verify_schedule
 from repro.tensorir import (
@@ -46,7 +51,8 @@ def schedules(draw):
 def test_verified_valid_sequences_always_apply(schedule):
     diags = verify_schedule(schedule)
     assert not has_errors(diags), [str(d) for d in diags]
-    nest = schedule.apply()  # must not raise
+    nest = reference_applier.apply(schedule)  # must not raise
+    assert nest == schedule.apply()
     # Padding stays within the verifier's per-split allowance compounded
     # over the (few) padded splits; a loose sanity bound.
     if not nest.inlined:
@@ -80,13 +86,13 @@ def test_fsp_reference_perturbations_keep_verifier_applier_agreement(schedule):
     diags = verify_schedule(schedule)
     codes = {d.code for d in diags}
     if not has_errors(diags):
-        schedule.apply()  # both accept
+        reference_applier.apply(schedule)  # both accept
     elif "E107" in codes:
         with pytest.raises(ScheduleError):
-            schedule.apply()  # both reject
+            reference_applier.apply(schedule)  # both reject
     # Remaining cases carry non-E107 errors (e.g. E103 when the followed
     # factors overpad the axis): the verifier is deliberately stricter than
-    # the applier there, so no agreement claim on those.
+    # the reference there, so no agreement claim on those.
 
 
 @settings(max_examples=120, deadline=None)
@@ -100,3 +106,27 @@ def test_single_field_corruptions_are_flagged(schedule, corruption):
     assert expected_code in {d.code for d in diags}, (
         f"{name}: expected {expected_code}, got {[str(d) for d in diags]}"
     )
+
+
+@settings(max_examples=120, deadline=None)
+@given(schedule=schedules(), corruption=st.sampled_from(CORRUPTIONS))
+def test_apply_raises_exactly_on_error_diagnostics(schedule, corruption):
+    """``Schedule.apply()`` fails on exactly the sequences with an error
+    diagnostic.  The reference is more lenient (E103 over-padding, thread
+    tags re-bound after a fuse), so it rejects only a subset of them."""
+    _, name, mutator = corruption
+    mutated = mutator(schedule)
+    if mutated is None:
+        return
+    corrupted = Schedule(schedule.subgraph, mutated, schedule.target)
+    rejected = has_errors(verify_schedule(corrupted))
+    try:
+        reference = reference_applier.apply(corrupted)
+    except ScheduleError:
+        assert rejected, name
+        reference = None
+    if rejected:
+        with pytest.raises(ScheduleError):
+            corrupted.apply()
+    else:
+        assert corrupted.apply() == reference, name
