@@ -22,7 +22,7 @@ from repro.core.extractor import TLPFeaturizer
 from repro.core.postprocess import PostprocessConfig
 from repro.core.scoring import CandidateScorer
 from repro.core.tlp_model import TLPModel, TLPModelConfig
-from repro.nn import Adam, mse_loss
+from repro.nn import Adam
 from repro.simhw import labels_from_latencies, measure_many
 from repro.tensorir import SketchConfig, SketchGenerator, matmul_subgraph
 from repro.utils.rng import stream
@@ -67,7 +67,8 @@ def build_trained_scorer(subgraph):
         for i in range(0, _TRAIN, _BATCH):
             b = order[i : i + _BATCH]
             opt.zero_grad()
-            loss = mse_loss(model(X[b], M[b]), labels[b])
+            diff = model(X[b], M[b]) - labels[b]
+            loss = (diff * diff).mean()
             loss.backward()
             opt.step()
     model.eval()

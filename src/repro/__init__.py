@@ -1,26 +1,28 @@
 """TLP reproduction package.
 
-Subsystems land incrementally (see DESIGN.md §3 for the full inventory).
-Currently present:
+The paper's offline loop — sample → verify → featurize → label → train →
+score — runs through three pipelines: ``repro.dataset.build_dataset``
+(build), ``repro.core.trainer.Trainer.fit`` (train) and
+``repro.core.scoring.CandidateScorer`` (search).  The subpackages
+(DESIGN.md §3):
 
-* ``repro.utils``    — seeded RNG streams, structured logging, timers.
-* ``repro.tensorir`` — subgraphs, loop-nest IR, the 11 Ansor-style schedule
-  primitive kinds, a schedule applier, sketch rules and a random sampler.
-* ``repro.analysis`` — static verification of primitive sequences
-  (no schedule application, no latency simulation) plus a repo self-lint.
-* ``repro.core``     — TLP feature extraction: batch-first featurizer over
-  primitive sequences (Fig. 4/5) with Table 4 crop/pad, the Fig. 7
-  attention cost model and its MTL multi-head variant, the offline
-  lambda-rank trainer with exact checkpoint/resume, and the Table 6/7
-  top-k evaluation metrics.
-* ``repro.nn``       — from-scratch numpy autograd + NN substrate (layers,
-  attention, losses, optimizers, gradient checking).
-* ``repro.simhw``    — deterministic simulated-hardware latency substrate:
-  7 analytical platform models (5 CPU, 2 GPU) standing in for the TenSet
-  measurement farm.
-* ``repro.dataset``  — TenSet-scale streaming dataset factory: network-pool
-  specs to columnar memory-mapped shard stores with a resumable manifest,
-  plus the ``ShardReader`` training view.
+* ``repro.tensorir`` — subgraphs, loop-nest IR, the 11 Ansor-style
+  schedule primitive kinds, schedules, sketch rules, the random sampler
+  and the per-network subgraph pools.
+* ``repro.analysis`` — the one abstract interpreter of primitive
+  sequences, the static verifier over it, and the repo lint.
+* ``repro.core``     — TLP itself: featurization of primitive sequences
+  (Fig. 4/5, Table 4 crop/pad), the Fig. 7 cost model and its MTL
+  variant, the offline trainer, the Table 6/7 top-k metrics, and the
+  candidate scorer.
+* ``repro.nn``       — the numpy autograd substrate the model trains and
+  serves with.
+* ``repro.simhw``    — deterministic analytical latency models of 7
+  platforms (5 CPU, 2 GPU) standing in for the TenSet measurement farm.
+* ``repro.dataset``  — the streaming dataset factory: specs to columnar
+  memory-mapped shard stores with a resumable manifest, read back through
+  ``ShardReader``.
+* ``repro.utils``    — seeded RNG streams, timers, structured logging.
 """
 
 from __future__ import annotations

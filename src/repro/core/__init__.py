@@ -1,10 +1,9 @@
 """TLP's contribution: featurize the schedule sequence, not the program.
 
-The paper's core mechanism — and the first slice of the ``core``
-subsystem (DESIGN.md §3) to land: feature extraction from primitive
-sequences (Fig. 4/5) with the Table 4 crop/pad geometry — plus the
-first slice of the TLP cost model itself (Fig. 7, on the ``repro.nn``
-autograd substrate), now joined by the offline training stack.
+Feature extraction from primitive sequences (Fig. 4/5) with the Table 4
+crop/pad geometry, the Fig. 7 cost model on the ``repro.nn`` substrate,
+and the two pipelines built on them: offline training and candidate
+scoring.
 
 * ``abstract_primitive`` — canonical per-kind (one-hot ++ char tokens ++
   numerics) layout shared by every extractor implementation.
@@ -14,13 +13,16 @@ autograd substrate), now joined by the offline training stack.
   and benchmark baseline.
 * ``postprocess`` — Table 4 ``seq_len x emb`` crop/pad.
 * ``tlp_model`` — :class:`TLPModel`: the Fig. 7 attention backbone
-  consuming ``TLPFeaturizer.transform`` output directly.
+  consuming ``TLPFeaturizer.transform`` output directly, plus its
+  tape-free ``predict``.
 * ``mtl`` — :class:`MTLTLPModel`: shared trunk + per-platform heads
   with loss masking (Table 9's cross-hardware transfer).
 * ``trainer`` — :class:`Trainer`: offline lambda-rank training over a
   shard store with exact checkpoint/resume.
 * ``metrics`` — Table 6/7 top-k best-found latency ratio and its exact
   random baseline.
+* ``scoring`` — :class:`CandidateScorer`: verify → featurize → predict →
+  top-k, the search loop's inner step.
 """
 
 from __future__ import annotations

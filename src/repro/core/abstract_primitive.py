@@ -76,11 +76,6 @@ def char_params(prim: Primitive) -> str:
     return CHAR_SEP.join(prim.axes)
 
 
-def numeric_params(prim: Primitive) -> tuple[int, ...]:
-    """The primitive's raw numeric parameters."""
-    return prim.ints
-
-
 def abstract(prim: Primitive) -> AbstractPrimitive:
     """Reduce one primitive to its canonical (kind, chars, numerics) triple."""
     return AbstractPrimitive(KIND_INDEX[prim.kind], char_params(prim), prim.ints)
@@ -94,5 +89,4 @@ __all__ = [
     "AbstractPrimitive",
     "abstract",
     "char_params",
-    "numeric_params",
 ]

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from repro.nn.losses import group_bounds
+
 
 def top_k_score(scores: np.ndarray, latencies: np.ndarray, k: int) -> float:
     """Best-found latency ratio of the model's top-k picks for one group.
@@ -69,18 +71,6 @@ def random_top_k_score(latencies: np.ndarray, k: int) -> float:
     return float(score)
 
 
-def _iter_runs(groups: np.ndarray) -> "list[tuple[int, int]]":
-    gids = np.asarray(groups).reshape(-1)
-    if gids.shape[0] == 0:
-        return []
-    starts = np.flatnonzero(np.diff(gids) != 0) + 1
-    bounds = np.concatenate(([0], starts, [gids.shape[0]]))
-    run_ids = gids[bounds[:-1]]
-    if np.unique(run_ids).shape[0] != run_ids.shape[0]:
-        raise ValueError("groups must be contiguous")
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def top_k_scores_grouped(
     scores: np.ndarray,
     latencies: np.ndarray,
@@ -96,9 +86,10 @@ def top_k_scores_grouped(
             f"shape mismatch: scores {s.shape}, latencies {lat.shape}, "
             f"groups {gids.shape}"
         )
-    runs = _iter_runs(gids)
-    if not runs:
+    bounds = group_bounds(gids)
+    if bounds.shape[0] < 2:
         raise ValueError("no groups to score")
+    runs = list(zip(bounds[:-1], bounds[1:]))
     out: dict[int, float] = {}
     for k in ks:
         out[int(k)] = float(
@@ -119,9 +110,10 @@ def random_top_k_scores_grouped(
         raise ValueError(
             f"shape mismatch: latencies {lat.shape}, groups {gids.shape}"
         )
-    runs = _iter_runs(gids)
-    if not runs:
+    bounds = group_bounds(gids)
+    if bounds.shape[0] < 2:
         raise ValueError("no groups to score")
+    runs = list(zip(bounds[:-1], bounds[1:]))
     out: dict[int, float] = {}
     for k in ks:
         out[int(k)] = float(

@@ -6,9 +6,9 @@ and report how good the model's top-k picks are on *held-out networks*
 (Table 6/7).  This module is that loop for any store
 ``repro.dataset.build_dataset`` wrote:
 
-* :class:`Trainer` streams grouped (task, platform) minibatches from a
-  :class:`~repro.dataset.reader.ShardReader` through
-  :class:`~repro.nn.data.GroupedBatchLoader`, trains with
+* :class:`Trainer` gathers grouped (task, platform) minibatches from a
+  :class:`~repro.dataset.reader.ShardReader` in the order a
+  :class:`~repro.nn.data.GroupedBatchSampler` draws, trains with
   :func:`~repro.nn.losses.lambda_rank_loss_grouped`, and evaluates
   held-out top-1/top-5 via :mod:`repro.core.metrics` against the store's
   simhw ground-truth latencies.
@@ -48,8 +48,8 @@ from repro.core.mtl import MTLTLPModel
 from repro.core.tlp_model import TLPModel
 from repro.dataset.reader import ShardReader
 from repro.nn import functional as F
-from repro.nn.data import GroupedBatchLoader
-from repro.nn.losses import lambda_rank_loss_grouped
+from repro.nn.data import GroupedBatchSampler
+from repro.nn.losses import group_bounds, lambda_rank_loss_grouped
 from repro.nn.optim import Adam, CosineLR
 from repro.utils.rng import stream
 
@@ -73,9 +73,6 @@ class TrainConfig:
     batch_size: int = 128
     segment_size: int = 32
     lr: float = 1e-3
-    weight_decay: float = 0.0
-    sigma: float = 1.0
-    min_lr: "float | None" = None
     eval_every: int = 0
     eval_ks: tuple[int, ...] = (1, 5)
     stream_name: str = "core.trainer"
@@ -133,11 +130,9 @@ class Trainer:
         self.store_platforms = tuple(reader.manifest.spec.platforms)
         default = model.platforms if self.is_mtl else self.store_platforms
         names = tuple(self.config.platforms) if self.config.platforms else default
-        for name in names:
-            if name not in self.store_platforms:
-                raise KeyError(
-                    f"platform {name!r} not in store platforms {self.store_platforms}"
-                )
+        allowed_pids = np.asarray(
+            [self._platform_id(n) for n in names], dtype=np.int64
+        )
         if self.is_mtl:
             for name in names:
                 model.head_index(name)  # raises on a platform with no head
@@ -151,13 +146,10 @@ class Trainer:
         self._gids = task_ids * n_plat + plat_ids
         if self.is_mtl:
             head_of = np.full(n_plat, -1, dtype=np.int64)
-            for name in names:
-                head_of[self.store_platforms.index(name)] = model.head_index(name)
+            for pid, name in zip(allowed_pids, names):
+                head_of[pid] = model.head_index(name)
             self._head_of_pid = head_of
 
-        allowed_pids = np.asarray(
-            [self.store_platforms.index(n) for n in names], dtype=np.int64
-        )
         allowed = np.isin(plat_ids, allowed_pids)
         train_idx = reader.split_indices("train")
         train_idx = train_idx[allowed[train_idx]]
@@ -168,26 +160,27 @@ class Trainer:
         holdout_idx = reader.split_indices("holdout")
         self.holdout_indices = holdout_idx[allowed[holdout_idx]]
 
-        self.loader = GroupedBatchLoader(
-            reader.subset(train_idx),
+        self.loader = GroupedBatchSampler(
             self._gids[train_idx],
             batch_size=self.config.batch_size,
             segment_size=self.config.segment_size,
             stream_name=f"{self.config.stream_name}.loader",
         )
-        self.optimizer = Adam(
-            model.parameters(),
-            lr=self.config.lr,
-            weight_decay=self.config.weight_decay,
-        )
-        self.scheduler = CosineLR(
-            self.optimizer, self.config.epochs, self.config.min_lr
-        )
+        self.optimizer = Adam(model.parameters(), lr=self.config.lr)
+        self.scheduler = CosineLR(self.optimizer, self.config.epochs)
         self._arena = F.ScratchArena()
         self.history: list[dict] = []
         self.epochs_done = 0
 
     # -- dataset carving -------------------------------------------------
+
+    def _platform_id(self, name: str) -> int:
+        """The store's index of platform ``name``; ``KeyError`` if absent."""
+        if name not in self.store_platforms:
+            raise KeyError(
+                f"platform {name!r} not in store platforms {self.store_platforms}"
+            )
+        return self.store_platforms.index(name)
 
     def _subsample(self, train_idx: np.ndarray) -> np.ndarray:
         """Seeded per-(task, platform) subsampling for scarce-target runs.
@@ -208,9 +201,7 @@ class Trainer:
         gen = stream(f"{self.config.stream_name}.subsample")
         order = np.argsort(self._gids[train_idx], kind="stable")
         sorted_idx = train_idx[order]
-        sorted_gids = self._gids[sorted_idx]
-        starts = np.flatnonzero(np.diff(sorted_gids) != 0) + 1
-        bounds = np.concatenate(([0], starts, [sorted_gids.shape[0]]))
+        bounds = group_bounds(self._gids[sorted_idx])
         kept: list[np.ndarray] = []
         for a, b in zip(bounds[:-1], bounds[1:]):
             rows = sorted_idx[a:b]
@@ -252,7 +243,7 @@ class Trainer:
             global_idx, ("X", "mask", "label"), out=(X_buf, mask_buf, label_buf)
         )
         pred = self._forward(X, mask, global_idx)
-        loss = lambda_rank_loss_grouped(pred, label, gids, self.config.sigma)
+        loss = lambda_rank_loss_grouped(pred, label, gids)
         self.optimizer.zero_grad()
         loss.backward()
         self.optimizer.step()
@@ -315,16 +306,14 @@ class Trainer:
         idx = self.holdout_indices
         if platforms is not None:
             pids = np.asarray(
-                [self.store_platforms.index(n) for n in platforms], dtype=np.int64
+                [self._platform_id(n) for n in platforms], dtype=np.int64
             )
             idx = idx[np.isin(self._plat_ids[idx], pids)]
         if idx.size == 0:
             raise ValueError("no holdout records to evaluate")
         idx = idx[np.argsort(self._gids[idx], kind="stable")]
         gids = self._gids[idx]
-
-        starts = np.flatnonzero(np.diff(gids) != 0) + 1
-        bounds = np.concatenate(([0], starts, [gids.shape[0]]))
+        bounds = group_bounds(gids)
         scores = np.empty(idx.shape[0], dtype=np.float32)
         lats = np.empty(idx.shape[0], dtype=np.float32)
         # Gather whole groups at a time, coalesced up to the chunk target.

@@ -13,13 +13,13 @@ after a crash mid-shard.
   path (``make smoke-dataset`` runs its 2-platform smoke).
 * ``shards``   — fixed-size columnar ``.npy`` shard format + writer.
 * ``manifest`` — the journaled store description.
-* ``reader``   — :class:`ShardReader`, the ``BatchLoader``-compatible
-  zero-copy training view.
+* ``reader``   — :class:`ShardReader`, the zero-copy training view the
+  trainer gathers batches from.
 """
 
 from repro.dataset.manifest import Manifest, ShardRecord
 from repro.dataset.pipeline import DatasetError, build_dataset, fit_featurizer, smoke_spec
-from repro.dataset.reader import ShardReader, Subset
+from repro.dataset.reader import ShardReader
 from repro.dataset.shards import COLUMN_NAMES, ShardSchema, ShardWriter
 from repro.dataset.spec import (
     BatchPlan,
@@ -40,7 +40,6 @@ __all__ = [
     "ShardRecord",
     "ShardSchema",
     "ShardWriter",
-    "Subset",
     "Task",
     "build_dataset",
     "enumerate_tasks",

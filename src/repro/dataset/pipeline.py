@@ -407,7 +407,7 @@ def _smoke() -> dict[str, object]:
             raise AssertionError(
                 f"reader sees {len(reader)} records, manifest says {first.total_records}"
             )
-        X, mask, label = reader[np.arange(min(128, len(reader)))]
+        X, mask, label = reader.gather(np.arange(min(128, len(reader))))
         if not (np.isfinite(X).all() and label.max() <= 1.0 and label.min() > 0.0):
             raise AssertionError("smoke store records out of range")
         holdout = reader.split_indices("holdout")

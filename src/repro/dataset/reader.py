@@ -1,19 +1,17 @@
 """Zero-copy reading of a shard store for training.
 
-:class:`ShardReader` memory-maps shard columns on first touch and
-implements the ``repro.nn.data.RecordSource`` protocol — ``__len__``
-plus batched ``__getitem__(indices) -> (X, mask, label)`` — so
-``BatchLoader(ShardReader(store))`` iterates a multi-gigabyte store one
-minibatch at a time without ever materializing an epoch.  Gathers copy
-exactly the requested rows out of the maps (training mutates nothing in
-the store), and round-trip exactness is pinned by test:
-``reader[i]``'s planes are bit-identical to the ``transform`` output
-the pipeline wrote.
+:class:`ShardReader` memory-maps shard columns on first touch, and
+:meth:`ShardReader.gather` copies exactly the requested rows out of the
+maps, optionally into caller-owned buffers, so a trainer streams a
+multi-gigabyte store one minibatch at a time without ever materializing
+an epoch (training mutates nothing in the store).  Round-trip exactness
+is pinned by test: gathered planes are bit-identical to the
+``transform`` output the pipeline wrote.
 
 Network-level holdout comes from the manifest: every record carries its
 ``task_id``, tasks carry their network, and the spec names the held-out
-networks, so :meth:`split_indices` / :meth:`subset` give
-loader-compatible train/holdout views without touching the wide columns.
+networks, so :meth:`ShardReader.split_indices` gives the train/holdout
+row sets without touching the wide columns.
 """
 
 from __future__ import annotations
@@ -26,26 +24,8 @@ import numpy as np
 from repro.dataset.manifest import Manifest
 from repro.dataset.shards import COLUMN_NAMES, load_shard_column
 
-#: What a default gather returns, in order — the loader-facing triple.
+#: What a default gather returns, in order — the training triple.
 DEFAULT_COLUMNS: tuple[str, ...] = ("X", "mask", "label")
-
-
-class Subset:
-    """A record-source view of a reader restricted to fixed global rows."""
-
-    def __init__(self, reader: "ShardReader", indices: np.ndarray):
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        n = len(reader)
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise IndexError(f"subset indices out of range for {n} records")
-        self.reader = reader
-        self.indices = indices
-
-    def __len__(self) -> int:
-        return int(self.indices.shape[0])
-
-    def __getitem__(self, indices) -> tuple[np.ndarray, ...]:
-        return self.reader[self.indices[np.asarray(indices)]]
 
 
 class ShardReader:
@@ -94,10 +74,12 @@ class ShardReader:
     ) -> tuple[np.ndarray, ...]:
         """Copy the requested rows for each column, preserving order.
 
+        ``indices`` must be integers (a boolean mask or float array
+        raises ``TypeError`` rather than being cast to row numbers).
         Rows are grouped per shard so each memory map is touched once
         per call; the output order is exactly ``indices`` order, which
-        is what keeps ``BatchLoader`` epochs bit-reproducible no matter
-        how records landed in shards.
+        is what keeps training epochs bit-reproducible no matter how
+        records landed in shards.
 
         ``out`` supplies one preallocated destination per column (exact
         shape and dtype required) so a hot training loop can gather into
@@ -106,6 +88,8 @@ class ShardReader:
         """
         names = self.columns if columns is None else tuple(columns)
         indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu":
+            raise TypeError(f"record indices must be integers, got {indices.dtype}")
         if indices.ndim == 0:
             indices = indices.reshape(1)
         indices = indices.astype(np.int64, copy=False)
@@ -137,10 +121,6 @@ class ShardReader:
             for col, name in enumerate(names):
                 out[col][where] = self._column(int(shard), name)[local]
         return tuple(out)
-
-    def __getitem__(self, indices) -> tuple[np.ndarray, ...]:
-        """Batch gather of the reader's default columns (RecordSource)."""
-        return self.gather(indices)
 
     def record(self, index: int) -> dict[str, np.ndarray]:
         """One full record, every column, as a dict (debug/provenance)."""
@@ -187,9 +167,5 @@ class ShardReader:
         )
         return np.nonzero(task_split[self.task_ids()])[0].astype(np.int64)
 
-    def subset(self, indices) -> Subset:
-        """A loader-compatible view restricted to the given global rows."""
-        return Subset(self, indices)
 
-
-__all__ = ["DEFAULT_COLUMNS", "ShardReader", "Subset"]
+__all__ = ["DEFAULT_COLUMNS", "ShardReader"]

@@ -1,62 +1,51 @@
 """repro.nn — from-scratch numpy autograd + NN substrate.
 
-Reverse-mode autodiff over float32 ndarrays (:mod:`repro.nn.tensor`),
-a parameter/module registry, the layers the TLP cost model needs
-(Linear, LayerNorm, Dropout, residual blocks, multi-head
-self-attention), MSE + lambda-rank losses, SGD/Adam, and a seeded batch
-loader over extractor output.  Every differentiable piece is pinned by
-finite-difference gradient checks (``make gradcheck``).
+Exactly what the TLP cost model trains and serves with: reverse-mode
+autodiff over float32 ndarrays (:mod:`repro.nn.tensor`), a
+parameter/module registry, the Fig. 7 layers (Linear, LayerNorm,
+Dropout, residual blocks, masked multi-head self-attention), the
+lambda-rank loss, Adam with a cosine LR schedule, the group-aware batch
+order the trainer draws from, and the fused tape-free inference kernels
+behind ``TLPModel.predict`` (:mod:`repro.nn.functional`).  The taped
+layers are the oracle the fused kernels are pinned bit-identical to, and
+every differentiable piece is pinned by finite-difference gradient checks
+(``make gradcheck``).
 """
 
 from repro.nn import functional
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.data import ArraySource, BatchLoader, GroupedBatchLoader, RecordSource
+from repro.nn.data import GroupedBatchSampler
 from repro.nn.functional import MaskBiasCache, ScratchArena
 from repro.nn.gradcheck import assert_gradients_match, max_relative_error, numerical_gradient
-from repro.nn.layers import Dropout, LayerNorm, Linear, ReLU, ResidualBlock
-from repro.nn.losses import (
-    LambdaRankLoss,
-    MSELoss,
-    lambda_rank_loss,
-    lambda_rank_loss_grouped,
-    mse_loss,
-)
-from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.optim import SGD, Adam, CosineLR, Optimizer, StepLR
+from repro.nn.layers import Dropout, LayerNorm, Linear, ResidualBlock
+from repro.nn.losses import group_bounds, lambda_rank_loss, lambda_rank_loss_grouped
+from repro.nn.module import Module, Parameter
+from repro.nn.optim import Adam, CosineLR, Optimizer
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad, softmax
 
 __all__ = [
     "Adam",
-    "ArraySource",
-    "BatchLoader",
     "CosineLR",
     "Dropout",
-    "GroupedBatchLoader",
-    "LambdaRankLoss",
+    "GroupedBatchSampler",
     "LayerNorm",
     "Linear",
-    "MSELoss",
     "MaskBiasCache",
     "Module",
     "MultiHeadSelfAttention",
     "Optimizer",
     "Parameter",
-    "RecordSource",
-    "ReLU",
     "ResidualBlock",
-    "SGD",
     "ScratchArena",
-    "Sequential",
-    "StepLR",
     "Tensor",
     "as_tensor",
     "assert_gradients_match",
     "functional",
+    "group_bounds",
     "is_grad_enabled",
     "lambda_rank_loss",
     "lambda_rank_loss_grouped",
     "max_relative_error",
-    "mse_loss",
     "no_grad",
     "numerical_gradient",
     "softmax",

@@ -1,6 +1,6 @@
 """The layer kit the Fig. 7 model is assembled from.
 
-Linear, LayerNorm, Dropout, ReLU, and the dimension-preserving residual
+Linear, LayerNorm, Dropout, and the dimension-preserving residual
 block.  Every layer that owns weights accepts an ``rng`` generator (from
 a named ``repro.utils.rng`` stream); models thread one generator through
 all submodules so construction order fully determines the weights.
@@ -42,11 +42,6 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
 
 
 class LayerNorm(Module):
@@ -98,4 +93,4 @@ class ResidualBlock(Module):
         return x + self.fc(x).relu()
 
 
-__all__ = ["Dropout", "LayerNorm", "Linear", "ReLU", "ResidualBlock"]
+__all__ = ["Dropout", "LayerNorm", "Linear", "ResidualBlock"]

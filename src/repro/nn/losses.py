@@ -1,11 +1,10 @@
-"""MSE and lambda-rank losses over ``min_latency / latency`` labels.
+"""Lambda-rank loss over ``min_latency / latency`` labels.
 
-The paper's Table 3 compares both: plain MSE regression on the relative
--performance label, and the ranking loss TLP ships with — a LambdaLoss
-style pairwise objective where each pair's RankNet cost is weighted by
-the NDCG swap delta implied by the current predicted order.  Within one
-task only the *order* of candidates matters (the tuner takes a top-k),
-which is exactly what the rank loss optimizes.
+TLP trains with a ranking loss: a LambdaLoss-style pairwise objective
+where each pair's RankNet cost is weighted by the NDCG swap delta implied
+by the current predicted order.  Within one task only the *order* of
+candidates matters (the tuner takes a top-k), which is exactly what the
+rank loss optimizes.
 
 The lambda weights and the sort permutation are functions of the labels
 and of the predicted order, not of the scores' values, so they enter the
@@ -24,10 +23,23 @@ from repro.nn.tensor import Tensor, as_tensor
 _LN2 = math.log(2.0)
 
 
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - np.asarray(target, dtype=np.float32)
-    return (diff * diff).mean()
+def group_bounds(groups: np.ndarray) -> np.ndarray:
+    """Boundaries of the contiguous runs of a group-id column.
+
+    Returns int64 ``[0, s_1, ..., n]``: group ``i`` is rows
+    ``bounds[i]:bounds[i + 1]`` (``[0]`` for no rows).  A group id that
+    reappears after another group would split one ranking group into two
+    runs and silently weaken it, so non-contiguous ids raise.
+    """
+    gids = np.asarray(groups).reshape(-1)
+    if gids.shape[0] == 0:
+        return np.zeros(1, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(gids) != 0) + 1
+    bounds = np.concatenate(([0], starts, [gids.shape[0]]))
+    run_ids = gids[bounds[:-1]]
+    if np.unique(run_ids).shape[0] != run_ids.shape[0]:
+        raise ValueError("groups must be contiguous")
+    return bounds
 
 
 def lambda_rank_loss(pred: Tensor, labels: np.ndarray, sigma: float = 1.0) -> Tensor:
@@ -87,7 +99,7 @@ def lambda_rank_loss_grouped(
 
     ``groups`` assigns each row of ``pred`` to a (task, platform) group;
     rows of one group must be contiguous (the layout
-    ``GroupedBatchLoader`` emits).  Each group contributes its own
+    ``GroupedBatchSampler`` emits).  Each group contributes its own
     per-pair-normalized :func:`lambda_rank_loss`; the batch loss is the
     mean over groups that actually produced pairs, so a stray singleton
     or an all-tied group dilutes nothing.  Slicing ``pred`` per segment
@@ -102,16 +114,7 @@ def lambda_rank_loss_grouped(
             f"shape mismatch: pred {pred.data.shape}, labels {y.shape}, "
             f"groups {gids.shape}"
         )
-    if gids.shape[0] == 0:
-        return (pred * np.float32(0.0)).sum()
-    # Boundaries of the contiguous runs; a group id reappearing later in
-    # the batch would start a new run and silently weaken the ranking
-    # signal, so reject non-contiguous layouts loudly.
-    starts = np.flatnonzero(np.diff(gids) != 0) + 1
-    bounds = np.concatenate(([0], starts, [gids.shape[0]]))
-    run_ids = gids[bounds[:-1]]
-    if np.unique(run_ids).shape[0] != run_ids.shape[0]:
-        raise ValueError("groups must be contiguous within the batch")
+    bounds = group_bounds(gids)
 
     total: Tensor | None = None
     contributing = 0
@@ -127,23 +130,8 @@ def lambda_rank_loss_grouped(
     return total * np.float32(1.0 / contributing)
 
 
-class MSELoss:
-    def __call__(self, pred: Tensor, target: np.ndarray) -> Tensor:
-        return mse_loss(pred, target)
-
-
-class LambdaRankLoss:
-    def __init__(self, sigma: float = 1.0):
-        self.sigma = float(sigma)
-
-    def __call__(self, pred: Tensor, labels: np.ndarray) -> Tensor:
-        return lambda_rank_loss(pred, labels, self.sigma)
-
-
 __all__ = [
-    "LambdaRankLoss",
-    "MSELoss",
+    "group_bounds",
     "lambda_rank_loss",
     "lambda_rank_loss_grouped",
-    "mse_loss",
 ]

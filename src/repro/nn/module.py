@@ -9,7 +9,6 @@ layers register state just by assigning ``self.weight = Parameter(...)``
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -89,7 +88,7 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    # -- checkpointing ---------------------------------------------------
+    # -- state ---------------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -108,40 +107,5 @@ class Module:
                 )
             p.data = value.copy()
 
-    def save(self, path: str | Path) -> Path:
-        """Write the state dict to ``path`` as an ``.npz`` archive.
 
-        The serving warm-restart format: ``load`` on a freshly
-        constructed module of the same architecture restores bit-identical
-        weights (float32 round-trips exactly through ``np.savez``).
-        """
-        path = Path(path)
-        state = self.state_dict()
-        with path.open("wb") as fh:
-            np.savez(fh, **state)
-        return path
-
-    def load(self, path: str | Path) -> "Module":
-        """Restore a state dict written by :meth:`save`; returns ``self``.
-
-        Validates names and shapes through ``load_state_dict``, so an
-        architecture mismatch fails loudly instead of mis-assigning.
-        """
-        with np.load(Path(path)) as archive:
-            self.load_state_dict({name: archive[name] for name in archive.files})
-        return self
-
-
-class Sequential(Module):
-    """Chain modules in order; the TLP up-sampling stack uses this."""
-
-    def __init__(self, *modules: Module):
-        self.steps = list(modules)
-
-    def forward(self, x):
-        for step in self.steps:
-            x = step(x)
-        return x
-
-
-__all__ = ["Module", "Parameter", "Sequential"]
+__all__ = ["Module", "Parameter"]

@@ -1,7 +1,7 @@
-"""SGD / Adam and learning-rate schedules.
+"""Adam and its cosine learning-rate schedule.
 
 Optimizers mutate ``Parameter.data`` in place from accumulated ``.grad``
-ndarrays; all state (momentum / moment buffers) is float32 and owned by
+ndarrays; all state (Adam's moment buffers) is float32 and owned by
 the optimizer, so a model plus its optimizer state is fully captured by
 ``Module.state_dict`` + ``Optimizer.state_dict``.  Both are flat
 ``name -> ndarray`` dicts, so one ``np.savez`` holds a complete,
@@ -92,30 +92,6 @@ class Optimizer:
         self.lr = float(np.asarray(state["lr"]))
 
 
-class SGD(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, params: Sequence[Parameter], lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= np.float32(self.momentum)
-                v += p.grad
-                update = v
-            else:
-                update = p.grad
-            p.data -= np.float32(self.lr) * update
-
-    def _state_items(self) -> dict[str, np.ndarray]:
-        return {f"velocity.{i}": v for i, v in enumerate(self._velocity)}
-
-
 class Adam(Optimizer):
     """Adam with bias correction and decoupled weight decay (AdamW-style)."""
 
@@ -177,35 +153,6 @@ class Adam(Optimizer):
         self._step_count = step_count
 
 
-class StepLR:
-    """Multiply the optimizer's LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        if step_size < 1:
-            raise ValueError(f"step_size must be >= 1, got {step_size}")
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0 to keep the lr positive, got {gamma}")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.base_lr * self.gamma ** (self.epoch // self.step_size)
-        return self.optimizer.lr
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {"epoch": np.int64(self.epoch).reshape(())}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        epoch = int(np.asarray(state["epoch"]))
-        if epoch < 0:
-            raise ValueError(f"negative schedule epoch {epoch}")
-        self.epoch = epoch
-
-
 class CosineLR:
     """Cosine decay from the base LR to ``min_lr`` over ``total_epochs``.
 
@@ -253,4 +200,4 @@ class CosineLR:
         self.epoch = epoch
 
 
-__all__ = ["Adam", "CosineLR", "Optimizer", "SGD", "StepLR"]
+__all__ = ["Adam", "CosineLR", "Optimizer"]

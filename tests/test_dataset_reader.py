@@ -1,4 +1,4 @@
-"""ShardReader: mmap gathers, splits, and BatchLoader integration."""
+"""ShardReader: mmap gathers, index validation, and splits."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import pytest
 
 from repro.dataset import ShardReader, build_dataset
 from repro.dataset.pipeline import smoke_spec
-from repro.dataset.reader import Subset
 from repro.dataset.shards import COLUMN_NAMES
-from repro.nn.data import BatchLoader, RecordSource
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +33,7 @@ def dense(reader: ShardReader, columns=("X", "mask", "label")):
 def test_len_and_default_columns(store, reader):
     _, _, manifest = store
     assert len(reader) == manifest.total_records
-    X, mask, label = reader[np.asarray([0, 1])]
+    X, mask, label = reader.gather(np.asarray([0, 1]))
     assert X.shape[1:] == (manifest.schema.seq_len, manifest.schema.emb)
     assert mask.shape[1:] == (manifest.schema.seq_len,)
     assert label.shape == (2,)
@@ -49,7 +47,7 @@ def test_gather_crosses_shard_boundaries_in_request_order(store, reader):
         [spec.shard_size - 1, spec.shard_size, 2 * spec.shard_size - 1, 0]
     )
     indices = np.concatenate([boundaries, boundaries[::-1], [len(reader) - 1]])
-    X, mask, label = reader[indices]
+    X, mask, label = reader.gather(indices)
     assert np.array_equal(X, X_all[indices])
     assert np.array_equal(mask, mask_all[indices])
     assert np.array_equal(label, label_all[indices])
@@ -57,9 +55,9 @@ def test_gather_crosses_shard_boundaries_in_request_order(store, reader):
 
 def test_gather_rejects_out_of_range(reader):
     with pytest.raises(IndexError):
-        reader[np.asarray([len(reader)])]
+        reader.gather(np.asarray([len(reader)]))
     with pytest.raises(IndexError):
-        reader[np.asarray([-1])]
+        reader.gather(np.asarray([-1]))
     with pytest.raises(ValueError, match="unknown column"):
         ShardReader(reader.store_dir, columns=("X", "nope"))
 
@@ -86,53 +84,26 @@ def test_split_indices_partition_by_network(store, reader):
         reader.split_indices("test")
 
 
-def test_subset_is_a_record_source_view(reader):
-    holdout = reader.split_indices("holdout")
-    view = reader.subset(holdout)
-    assert isinstance(view, Subset)
-    assert isinstance(view, RecordSource)
-    assert len(view) == len(holdout)
-    X, mask, label = view[np.asarray([0, len(view) - 1])]
-    X_ref, mask_ref, label_ref = reader[holdout[[0, len(view) - 1]]]
-    assert np.array_equal(X, X_ref)
-    assert np.array_equal(mask, mask_ref)
-    assert np.array_equal(label, label_ref)
-    with pytest.raises(IndexError):
-        reader.subset(np.asarray([len(reader)]))
+def test_gather_rejects_boolean_masks(reader):
+    """Regression: a mask used to be cast to int64, so [True, False]
+    silently gathered rows 1 and 0 instead of failing."""
+    with pytest.raises(TypeError, match="integers"):
+        reader.gather(np.asarray([True, False]))
+    with pytest.raises(TypeError, match="integers"):
+        reader.gather(np.ones(len(reader), dtype=bool))
 
 
-def test_batchloader_over_reader_matches_in_memory_arrays(reader):
-    """The satellite contract: a loader over the mmap store yields an
-    epoch bit-identical to a loader over fully materialized arrays."""
-    X_all, mask_all, label_all = dense(reader)
-    lazy = BatchLoader(reader, batch_size=37, shuffle=True)
-    eager = BatchLoader(
-        X_all, mask=mask_all, labels=label_all, batch_size=37, shuffle=True
-    )
-    assert len(lazy) == len(eager)
-    for (Xl, ml, yl), (Xe, me, ye) in zip(lazy, eager):
-        assert Xl.tobytes() == Xe.tobytes()
-        assert ml.tobytes() == me.tobytes()
-        assert yl.tobytes() == ye.tobytes()
-
-
-def test_batchloader_epochs_are_bit_reproducible(reader):
-    a = [batch[2].tobytes() for batch in BatchLoader(reader, batch_size=64)]
-    b = [batch[2].tobytes() for batch in BatchLoader(reader, batch_size=64)]
-    assert a == b
-
-
-def test_batchloader_over_subset_trains_on_one_split(reader):
-    train = reader.split_indices("train")
-    loader = BatchLoader(reader.subset(train), batch_size=50, shuffle=False)
-    seen = 0
-    task_ids = reader.task_ids()
-    train_tasks = set(task_ids[train].tolist())
-    for X, mask, label in loader:
-        assert X.shape[0] == mask.shape[0] == label.shape[0]
-        seen += X.shape[0]
-    assert seen == len(train)
-    assert train_tasks  # non-degenerate split
+def test_gather_rejects_float_indices(reader):
+    """Regression: float indices used to be truncated to row numbers."""
+    with pytest.raises(TypeError, match="integers"):
+        reader.gather(np.asarray([0.0, 1.7]))
+    with pytest.raises(TypeError, match="integers"):
+        reader.gather(1.0)
+    # Any integer dtype is accepted, unsigned and scalar included.
+    (label,) = reader.gather(np.asarray([1, 0], dtype=np.uint8), columns=("label",))
+    (ref,) = reader.gather(np.asarray([1, 0]), columns=("label",))
+    assert np.array_equal(label, ref)
+    assert reader.gather(np.int32(2), columns=("label",))[0].shape == (1,)
 
 
 def test_narrow_columns_are_memoized_one_load_per_shard(store, monkeypatch):

@@ -1,210 +1,23 @@
-"""BatchLoader: batching geometry, seeded shuffles, validation."""
+"""GroupedBatchSampler: group-contiguous packing, seeded epochs, resume."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import ArraySource, BatchLoader, GroupedBatchLoader, RecordSource
+from repro.nn import GroupedBatchSampler
 from repro.utils.rng import stream
-
-_N, _L, _F = 23, 5, 4
-_RNG = stream("test.nn.data")
-_X = _RNG.standard_normal((_N, _L, _F)).astype(np.float32)
-_MASK = (_RNG.random((_N, _L)) < 0.8).astype(np.float32)
-_Y = _RNG.random(_N).astype(np.float32)
-
-
-def test_batches_cover_every_row_exactly_once():
-    loader = BatchLoader(_X, _MASK, _Y, batch_size=8, stream_name="t.data.cover")
-    rows = []
-    for Xb, mb, yb in loader:
-        assert Xb.shape[1:] == (_L, _F) and mb.shape[1:] == (_L,)
-        assert Xb.shape[0] == mb.shape[0] == yb.shape[0]
-        rows.extend(Xb[:, 0, 0].tolist())
-    assert len(rows) == _N
-    assert sorted(rows) == sorted(_X[:, 0, 0].tolist())
-    assert len(loader) == 3
-
-
-def test_drop_last_only_yields_full_batches():
-    loader = BatchLoader(_X, _MASK, batch_size=8, drop_last=True, stream_name="t.data.drop")
-    batches = list(loader)
-    assert len(batches) == len(loader) == 2
-    assert all(Xb.shape[0] == 8 for Xb, _ in batches)
-
-
-def test_unshuffled_loader_preserves_order_and_omits_labels():
-    loader = BatchLoader(_X, _MASK, batch_size=100, shuffle=False)
-    (out,) = [b for b in loader]
-    Xb, mb = out
-    assert np.array_equal(Xb, _X) and np.array_equal(mb, _MASK)
-
-
-def test_same_stream_name_gives_identical_epoch_order():
-    a = BatchLoader(_X, _MASK, _Y, batch_size=8, stream_name="t.data.seeded")
-    b = BatchLoader(_X, _MASK, _Y, batch_size=8, stream_name="t.data.seeded")
-    for _ in range(3):  # permutation sequence matches epoch by epoch
-        for (Xa, _, ya), (Xb, _, yb) in zip(a, b):
-            assert np.array_equal(Xa, Xb) and np.array_equal(ya, yb)
-
-
-def test_epochs_reshuffle_within_one_loader():
-    loader = BatchLoader(_X, _MASK, batch_size=100, stream_name="t.data.reshuffle")
-    first = next(iter(loader))[0]
-    second = next(iter(loader))[0]
-    assert not np.array_equal(first, second)
-
-
-@pytest.mark.parametrize("drop_last", [False, True])
-@pytest.mark.parametrize("shuffle", [False, True])
-@pytest.mark.parametrize("n", [24, 23, 5])  # n % 8 == 0, nonzero, n < batch
-def test_batch_geometry_across_drop_last_shuffle_and_remainder(n, shuffle, drop_last):
-    """Regression: __iter__ had a second, unreachable drop_last guard that
-    could drift from len(); the batch count is now the single source of
-    truth.  Every (drop_last, shuffle, remainder) cell must agree with it."""
-    bs = 8
-    X = np.arange(n, dtype=np.float32)[:, None, None] * np.ones((1, _L, _F), np.float32)
-    mask = np.ones((n, _L), dtype=np.float32)
-    loader = BatchLoader(X, mask, batch_size=bs, shuffle=shuffle,
-                         drop_last=drop_last, stream_name=f"t.data.geom.{n}")
-    batches = list(loader)
-    assert len(batches) == len(loader) == (n // bs if drop_last else -(-n // bs))
-    if drop_last:
-        assert all(Xb.shape[0] == bs for Xb, _ in batches)
-    else:
-        sizes = [Xb.shape[0] for Xb, _ in batches]
-        assert sizes[:-1] == [bs] * (len(sizes) - 1) if sizes else True
-        assert sum(sizes) == n
-        rows = sorted(x for Xb, _ in batches for x in Xb[:, 0, 0].tolist())
-        assert rows == list(range(n))  # every row exactly once
-
-
-def test_epoch_order_is_bit_reproducible_across_loaders():
-    a = BatchLoader(_X, _MASK, _Y, batch_size=7, stream_name="t.data.bits")
-    b = BatchLoader(_X, _MASK, _Y, batch_size=7, stream_name="t.data.bits")
-    for _ in range(3):
-        ea = [batch for batch in a]
-        eb = [batch for batch in b]
-        assert len(ea) == len(eb)
-        for ta, tb in zip(ea, eb):
-            for xa, xb in zip(ta, tb):
-                assert xa.tobytes() == xb.tobytes()  # bit-identical
-
-
-def test_loader_validates_inputs():
-    with pytest.raises(ValueError):
-        BatchLoader(_X, _MASK[:-1])
-    with pytest.raises(ValueError):
-        BatchLoader(_X, _MASK, _Y[:-1])
-    with pytest.raises(ValueError):
-        BatchLoader(_X, _MASK, batch_size=0)
-
-
-# -- lazily-indexed record sources --------------------------------------
-
-
-class _CountingSource:
-    """A minimal lazy RecordSource that records every gather request."""
-
-    def __init__(self, X, mask, y):
-        self.X, self.mask, self.y = X, mask, y
-        self.requests: list[np.ndarray] = []
-
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-    def __getitem__(self, indices):
-        indices = np.asarray(indices)
-        self.requests.append(indices)
-        return self.X[indices], self.mask[indices], self.y[indices]
-
-
-def test_array_source_satisfies_protocol():
-    source = ArraySource(_X, _MASK, _Y)
-    assert isinstance(source, RecordSource)
-    assert isinstance(_CountingSource(_X, _MASK, _Y), RecordSource)
-    assert len(source) == _N
-    Xb, mb, yb = source[np.asarray([2, 0, 2])]
-    assert np.array_equal(Xb, _X[[2, 0, 2]])
-    assert np.array_equal(mb, _MASK[[2, 0, 2]])
-    assert np.array_equal(yb, _Y[[2, 0, 2]])
-
-
-def test_loader_over_source_matches_loader_over_arrays():
-    """Bit-identical epochs: the lazy-source path must shuffle and slice
-    exactly like the array path (same stream, same permutation)."""
-    lazy = BatchLoader(
-        _CountingSource(_X, _MASK, _Y), batch_size=7, stream_name="t.data.src"
-    )
-    eager = BatchLoader(_X, _MASK, _Y, batch_size=7, stream_name="t.data.src")
-    assert len(lazy) == len(eager)
-    for lazy_batch, eager_batch in zip(lazy, eager):
-        for a, b in zip(lazy_batch, eager_batch):
-            assert a.tobytes() == b.tobytes()
-
-
-def test_source_loader_gathers_one_batch_at_a_time():
-    source = _CountingSource(_X, _MASK, _Y)
-    loader = BatchLoader(source, batch_size=8, shuffle=False)
-    list(loader)
-    assert [len(r) for r in source.requests] == [8, 8, 7]
-    assert np.array_equal(np.concatenate(source.requests), np.arange(_N))
-
-
-def test_source_epoch_order_is_bit_reproducible():
-    source = _CountingSource(_X, _MASK, _Y)
-    loader = BatchLoader(source, batch_size=6, stream_name="t.data.src.repro")
-    a = [y.tobytes() for _, _, y in loader]
-    source2 = _CountingSource(_X, _MASK, _Y)
-    loader2 = BatchLoader(source2, batch_size=6, stream_name="t.data.src.repro")
-    b = [y.tobytes() for _, _, y in loader2]
-    assert a == b
-    assert [r.tolist() for r in source.requests] == [
-        r.tolist() for r in source2.requests
-    ]
-
-
-def test_two_tuple_sources_iterate_without_labels():
-    class _Unlabeled:
-        def __len__(self):
-            return _N
-
-        def __getitem__(self, indices):
-            return _X[np.asarray(indices)], _MASK[np.asarray(indices)]
-
-    batches = list(BatchLoader(_Unlabeled(), batch_size=10, shuffle=False))
-    assert all(len(b) == 2 for b in batches)
-    assert sum(b[0].shape[0] for b in batches) == _N
-
-
-def test_source_loader_validates_inputs():
-    with pytest.raises(ValueError, match="mask"):
-        BatchLoader(_X)  # raw array needs an explicit mask
-    with pytest.raises(ValueError, match="labels"):
-        BatchLoader(_CountingSource(_X, _MASK, _Y), labels=_Y)
-    with pytest.raises(TypeError):
-        BatchLoader(object())  # neither array nor RecordSource
-
-
-# -- GroupedBatchLoader ---------------------------------------------------
 
 
 def _grouped_fixture(n_groups=5, rows_per_group=13, seed_name="t.data.grp"):
-    rng = stream(seed_name)
-    n = n_groups * rows_per_group
-    X = rng.standard_normal((n, _L, _F)).astype(np.float32)
-    mask = np.ones((n, _L), dtype=np.float32)
-    y = rng.random(n).astype(np.float32)
+    """Group ids of ``n_groups`` groups, scattered so no group is contiguous."""
     gids = np.repeat(np.arange(10, 10 + n_groups), rows_per_group)
-    # Scatter rows so groups are NOT contiguous in the source.
-    perm = rng.permutation(n)
-    return ArraySource(X[perm], mask[perm], y[perm]), gids[perm]
+    return gids[stream(seed_name).permutation(gids.shape[0])]
 
 
 def test_grouped_loader_batches_are_group_contiguous_and_cover_epoch():
-    source, gids = _grouped_fixture()
-    loader = GroupedBatchLoader(source, gids, batch_size=24, segment_size=8,
+    gids = _grouped_fixture()
+    loader = GroupedBatchSampler(gids, batch_size=24, segment_size=8,
                                 stream_name="t.grp.cover")
     seen = []
     for idx, bg in loader.iter_indices():
@@ -217,25 +30,15 @@ def test_grouped_loader_batches_are_group_contiguous_and_cover_epoch():
         # group labels are truthful
         assert np.array_equal(gids[idx], bg)
         seen.extend(idx.tolist())
-    assert sorted(seen) == list(range(len(source)))
-
-
-def test_grouped_loader_iter_yields_source_arrays_plus_groups():
-    source, gids = _grouped_fixture(seed_name="t.grp.iter")
-    loader = GroupedBatchLoader(source, gids, batch_size=16, segment_size=8,
-                                stream_name="t.grp.iter.loader")
-    batch = next(iter(loader))
-    X, mask, y, bg = batch
-    assert X.shape[0] == mask.shape[0] == y.shape[0] == bg.shape[0]
+    assert sorted(seen) == list(range(gids.shape[0]))
 
 
 def test_grouped_loader_segments_never_split_below_pair_size():
     """Packing keeps whole segments: a batch never receives a partial
     segment, so group runs inside a batch have >= min(group, segment)
     rows except for genuine remainder chunks."""
-    source, gids = _grouped_fixture(n_groups=3, rows_per_group=9,
-                                    seed_name="t.grp.seg")
-    loader = GroupedBatchLoader(source, gids, batch_size=8, segment_size=4,
+    gids = _grouped_fixture(n_groups=3, rows_per_group=9, seed_name="t.grp.seg")
+    loader = GroupedBatchSampler(gids, batch_size=8, segment_size=4,
                                 stream_name="t.grp.seg.loader")
     # 9 rows -> segments of 4, 4, 1 per group; batches pack whole segments.
     sizes = [idx.shape[0] for idx, _ in loader.iter_indices()]
@@ -246,8 +49,8 @@ def test_grouped_loader_segments_never_split_below_pair_size():
 def test_grouped_loader_epoch_resume_is_bit_identical():
     """Epoch k is a pure function of (stream name, k): a fresh loader
     fast-forwarded via load_state_dict replays the interrupted run."""
-    source, gids = _grouped_fixture(seed_name="t.grp.resume")
-    mk = lambda: GroupedBatchLoader(source, gids, batch_size=16, segment_size=8,
+    gids = _grouped_fixture(seed_name="t.grp.resume")
+    mk = lambda: GroupedBatchSampler(gids, batch_size=16, segment_size=8,
                                     stream_name="t.grp.resume.loader")
     full = mk()
     epochs = [[(i.tobytes(), g.tobytes()) for i, g in full.iter_indices()]
@@ -261,8 +64,8 @@ def test_grouped_loader_epoch_resume_is_bit_identical():
 
 
 def test_grouped_loader_epoch_advances_only_on_full_consumption():
-    source, gids = _grouped_fixture(seed_name="t.grp.partial")
-    loader = GroupedBatchLoader(source, gids, batch_size=16, segment_size=8,
+    gids = _grouped_fixture(seed_name="t.grp.partial")
+    loader = GroupedBatchSampler(gids, batch_size=16, segment_size=8,
                                 stream_name="t.grp.partial.loader")
     it = loader.iter_indices()
     next(it)
@@ -272,12 +75,28 @@ def test_grouped_loader_epoch_advances_only_on_full_consumption():
 
 
 def test_grouped_loader_validates_geometry():
-    source, gids = _grouped_fixture(seed_name="t.grp.valid")
+    gids = _grouped_fixture(seed_name="t.grp.valid")
     with pytest.raises(ValueError, match="batch_size"):
-        GroupedBatchLoader(source, gids, batch_size=4, segment_size=8)
+        GroupedBatchSampler(gids, batch_size=4, segment_size=8)
     with pytest.raises(ValueError, match="segment_size"):
-        GroupedBatchLoader(source, gids, batch_size=4, segment_size=0)
-    with pytest.raises(ValueError, match="group_ids"):
-        GroupedBatchLoader(source, gids[:-1])
-    with pytest.raises(TypeError):
-        GroupedBatchLoader(object(), gids)
+        GroupedBatchSampler(gids, batch_size=4, segment_size=0)
+
+
+def test_same_stream_name_gives_identical_epoch_order():
+    gids = _grouped_fixture(seed_name="t.grp.seeded")
+    a = GroupedBatchSampler(gids, batch_size=16, segment_size=8, stream_name="t.grp.same")
+    b = GroupedBatchSampler(gids, batch_size=16, segment_size=8, stream_name="t.grp.same")
+    for _ in range(3):  # epoch by epoch, bit for bit
+        ea = [(i.tobytes(), g.tobytes()) for i, g in a.iter_indices()]
+        eb = [(i.tobytes(), g.tobytes()) for i, g in b.iter_indices()]
+        assert ea == eb
+
+
+def test_epochs_reshuffle_within_one_loader():
+    gids = _grouped_fixture(seed_name="t.grp.reshuffle")
+    loader = GroupedBatchSampler(gids, batch_size=16, segment_size=8,
+                                stream_name="t.grp.reshuffle.loader")
+    first = np.concatenate([i for i, _ in loader.iter_indices()])
+    second = np.concatenate([i for i, _ in loader.iter_indices()])
+    assert sorted(first.tolist()) == sorted(second.tolist())
+    assert not np.array_equal(first, second)

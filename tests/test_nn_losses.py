@@ -1,4 +1,4 @@
-"""MSE + lambda-rank: ranking semantics and gradient checks."""
+"""Lambda-rank and group boundaries: ranking semantics and gradient checks."""
 
 from __future__ import annotations
 
@@ -6,27 +6,16 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    LambdaRankLoss,
-    MSELoss,
     Tensor,
     assert_gradients_match,
+    group_bounds,
     lambda_rank_loss,
     lambda_rank_loss_grouped,
-    mse_loss,
 )
-from repro.utils.rng import stream
-
-_RNG = stream("test.nn.losses")
 
 
 def _pred(values):
     return Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
-
-
-def test_mse_matches_numpy():
-    p = _pred([1.0, 2.0, 3.0])
-    t = np.array([1.5, 2.0, 1.0], dtype=np.float32)
-    assert float(mse_loss(p, t).data) == pytest.approx(float(((p.data - t) ** 2).mean()))
 
 
 def test_lambda_rank_rewards_correct_order():
@@ -61,20 +50,6 @@ def test_gradient_pushes_scores_toward_label_order():
     lambda_rank_loss(pred, y).backward()
     # descending gradient: best-labelled item gets the most negative grad
     assert pred.grad[0] < pred.grad[1] < pred.grad[2]
-
-
-def test_loss_classes_delegate():
-    p = _pred([2.0, 1.0])
-    y = np.array([0.9, 0.1], dtype=np.float32)
-    assert float(LambdaRankLoss()(p, y).data) == float(lambda_rank_loss(p, y).data)
-    assert float(MSELoss()(p, y).data) == float(mse_loss(p, y).data)
-
-
-@pytest.mark.gradcheck
-def test_gradcheck_mse():
-    p = _pred(_RNG.standard_normal(8).astype(np.float32))
-    t = _RNG.standard_normal(8).astype(np.float32)
-    assert_gradients_match(lambda: mse_loss(p, t), [p])
 
 
 @pytest.mark.gradcheck
@@ -167,3 +142,13 @@ def test_gradcheck_lambda_rank_grouped():
     assert_gradients_match(
         lambda: lambda_rank_loss_grouped(p, y, g, sigma=1.5), [p], eps=5e-3
     )
+
+
+def test_group_bounds_marks_each_contiguous_run():
+    bounds = group_bounds(np.array([7, 7, 3, 3, 3, 9]))
+    assert bounds.dtype == np.int64
+    assert bounds.tolist() == [0, 2, 5, 6]
+    assert group_bounds(np.array([4])).tolist() == [0, 1]
+    assert group_bounds(np.zeros(0, dtype=np.int64)).tolist() == [0]
+    with pytest.raises(ValueError, match="contiguous"):
+        group_bounds(np.array([1, 2, 1]))

@@ -1,11 +1,11 @@
-"""Optimizers + LR schedules: convergence and state semantics."""
+"""Adam, the Optimizer base and the cosine LR schedule: convergence and state."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, CosineLR, Parameter, StepLR
+from repro.nn import Adam, CosineLR, Parameter
 from repro.nn.tensor import Tensor
 from repro.utils.rng import stream
 
@@ -24,16 +24,6 @@ def _fit(opt_factory, steps=200):
         _quadratic(p, target).backward()
         opt.step()
     return p, target
-
-
-def test_sgd_converges_on_quadratic():
-    p, target = _fit(lambda ps: SGD(ps, lr=0.1))
-    assert np.allclose(p.data, target, atol=1e-4)
-
-
-def test_sgd_momentum_converges():
-    p, target = _fit(lambda ps: SGD(ps, lr=0.05, momentum=0.9))
-    assert np.allclose(p.data, target, atol=1e-3)
 
 
 def test_adam_converges_on_quadratic():
@@ -63,27 +53,19 @@ def test_adam_weight_decay_is_decoupled():
 
 def test_skipped_grad_leaves_parameter_untouched():
     p = Parameter(np.ones(2, dtype=np.float32))
-    opt = SGD([p], lr=0.5)
+    opt = Adam([p], lr=0.5)
     opt.step()  # p.grad is None
     assert np.array_equal(p.data, np.ones(2, dtype=np.float32))
 
 
 def test_optimizer_rejects_empty_params():
     with pytest.raises(ValueError):
-        SGD([], lr=0.1)
-
-
-def test_step_lr_decays_by_gamma():
-    p = Parameter(np.ones(1, dtype=np.float32))
-    opt = SGD([p], lr=1.0)
-    sched = StepLR(opt, step_size=2, gamma=0.1)
-    lrs = [sched.step() for _ in range(4)]
-    assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
+        Adam([], lr=0.1)
 
 
 def test_cosine_lr_reaches_min_lr():
     p = Parameter(np.ones(1, dtype=np.float32))
-    opt = SGD([p], lr=1.0)
+    opt = Adam([p], lr=1.0)
     sched = CosineLR(opt, total_epochs=4, min_lr=0.1)
     lrs = [sched.step() for _ in range(5)]
     assert lrs[0] < 1.0
@@ -97,7 +79,7 @@ def test_cosine_lr_default_min_lr_keeps_final_epoch_stepping():
     the final epoch, turning every last-epoch step into a silent no-op
     (and violating the optimizer's own lr > 0 contract)."""
     p = Parameter(np.ones(1, dtype=np.float32))
-    opt = SGD([p], lr=1.0)
+    opt = Adam([p], lr=1.0)
     sched = CosineLR(opt, total_epochs=3)
     for _ in range(3):
         sched.step()
@@ -110,7 +92,7 @@ def test_cosine_lr_default_min_lr_keeps_final_epoch_stepping():
 
 def test_cosine_lr_rejects_nonpositive_or_oversized_min_lr():
     p = Parameter(np.ones(1, dtype=np.float32))
-    opt = SGD([p], lr=0.5)
+    opt = Adam([p], lr=0.5)
     with pytest.raises(ValueError, match="min_lr"):
         CosineLR(opt, total_epochs=4, min_lr=0.0)
     with pytest.raises(ValueError, match="min_lr"):
@@ -123,20 +105,13 @@ def test_lr_invariant_enforced_on_assignment():
     """The lr > 0 contract holds everywhere, not just at construction —
     a schedule assigning a bad lr fails loudly instead of no-opping."""
     p = Parameter(np.ones(1, dtype=np.float32))
-    opt = SGD([p], lr=0.1)
+    opt = Adam([p], lr=0.1)
     with pytest.raises(ValueError, match="non-positive"):
         opt.lr = 0.0
     with pytest.raises(ValueError, match="non-positive"):
-        SGD([p], lr=0.0)
+        Adam([p], lr=0.0)
     opt.lr = 0.2  # positive assignment still fine
     assert opt.lr == pytest.approx(0.2)
-
-
-def test_step_lr_rejects_nonpositive_gamma():
-    p = Parameter(np.ones(1, dtype=np.float32))
-    opt = SGD([p], lr=0.1)
-    with pytest.raises(ValueError, match="gamma"):
-        StepLR(opt, step_size=2, gamma=0.0)
 
 
 def test_all_optimizer_state_is_float32():
@@ -154,7 +129,7 @@ def test_cosine_lr_stays_clamped_far_past_horizon():
     raise the lr to the base value again.  It must sit exactly at
     ``min_lr`` for every post-horizon epoch."""
     p = Parameter(np.ones(1, dtype=np.float32))
-    opt = SGD([p], lr=1.0)
+    opt = Adam([p], lr=1.0)
     sched = CosineLR(opt, total_epochs=4, min_lr=0.05)
     lrs = [sched.step() for _ in range(12)]  # 3x the horizon
     assert all(lr == pytest.approx(0.05) for lr in lrs[3:])
@@ -169,7 +144,7 @@ def _train_steps(p, opt, grads):
 
 
 @pytest.mark.parametrize("factory", [
-    lambda ps: SGD(ps, lr=0.05, momentum=0.9),
+    lambda ps: Adam(ps, lr=0.05),
     lambda ps: Adam(ps, lr=0.01, weight_decay=0.1),
 ])
 def test_optimizer_state_roundtrip_resume_is_bit_identical(factory):
@@ -177,7 +152,7 @@ def test_optimizer_state_roundtrip_resume_is_bit_identical(factory):
 
     The optim.py docstring has always claimed model + optimizer state is
     fully capturable; before state_dict/load_state_dict existed, resuming
-    silently reset SGD velocity and Adam moments/step count."""
+    silently reset Adam's moments and step count."""
     rng = stream("test.nn.optim.resume")
     grads = [rng.standard_normal(4).astype(np.float32) for _ in range(8)]
 
@@ -201,18 +176,19 @@ def test_optimizer_state_roundtrip_resume_is_bit_identical(factory):
 
 def test_optimizer_state_dict_is_a_snapshot_not_a_view():
     p = Parameter(np.ones(2, dtype=np.float32))
-    opt = SGD([p], lr=0.1, momentum=0.9)
+    opt = Adam([p], lr=0.1)
     p.grad = np.ones(2, dtype=np.float32)
     opt.step()
     snap = opt.state_dict()
-    before = snap["velocity.0"].copy()
+    before = {k: snap[k].copy() for k in ("m.0", "v.0")}
     p.grad = np.full(2, 5.0, dtype=np.float32)
     opt.step()
-    assert np.array_equal(snap["velocity.0"], before)  # later steps don't leak in
+    for k, buf in before.items():  # later steps don't leak in
+        assert np.array_equal(snap[k], buf)
 
 
 def test_optimizer_state_npz_roundtrip(tmp_path):
-    """One np.savez holds optimizer state alongside Module.save weights."""
+    """One np.savez holds optimizer state, as the trainer checkpoint does."""
     p = Parameter(np.ones(3, dtype=np.float32))
     opt = Adam([p], lr=0.02)
     p.grad = np.arange(3, dtype=np.float32)
@@ -232,29 +208,30 @@ def test_optimizer_state_npz_roundtrip(tmp_path):
 
 def test_optimizer_load_state_dict_validates_keys_and_shapes():
     p = Parameter(np.ones(3, dtype=np.float32))
-    opt = SGD([p], lr=0.1, momentum=0.9)
+    opt = Adam([p], lr=0.1)
     state = opt.state_dict()
     with pytest.raises(KeyError, match="missing"):
-        opt.load_state_dict({"lr": state["lr"]})
+        opt.load_state_dict({"lr": state["lr"], "step_count": state["step_count"]})
     bad = dict(state)
-    bad["velocity.0"] = np.zeros(7, dtype=np.float32)
+    bad["m.0"] = np.zeros(7, dtype=np.float32)
     with pytest.raises(ValueError, match="shape"):
         opt.load_state_dict(bad)
-    # Adam state into SGD: wrong key set, must fail loudly.
-    adam = Adam([Parameter(np.ones(3, dtype=np.float32))], lr=0.1)
-    with pytest.raises(KeyError):
-        opt.load_state_dict(adam.state_dict())
+    # State of an optimizer over two parameters: wrong key set, must fail loudly.
+    two = Adam([Parameter(np.ones(3, dtype=np.float32)),
+                Parameter(np.ones(2, dtype=np.float32))], lr=0.1)
+    with pytest.raises(KeyError, match="unexpected"):
+        opt.load_state_dict(two.state_dict())
 
 
 def test_scheduler_state_roundtrip():
     p = Parameter(np.ones(1, dtype=np.float32))
-    opt = SGD([p], lr=1.0)
+    opt = Adam([p], lr=1.0)
     sched = CosineLR(opt, total_epochs=6, min_lr=0.1)
     for _ in range(3):
         sched.step()
     snap = sched.state_dict()
 
-    opt2 = SGD([Parameter(np.ones(1, dtype=np.float32))], lr=1.0)
+    opt2 = Adam([Parameter(np.ones(1, dtype=np.float32))], lr=1.0)
     sched2 = CosineLR(opt2, total_epochs=6, min_lr=0.1)
     sched2.load_state_dict(snap)
     assert sched2.epoch == 3

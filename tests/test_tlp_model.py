@@ -93,14 +93,15 @@ def _train_once(X, mask):
     labels = _labels(X)
     opt = nn.Adam(model.parameters(), lr=1e-3)
     sched = nn.CosineLR(opt, total_epochs=5, min_lr=1e-4)
-    loader = nn.BatchLoader(X, mask, labels, batch_size=16,
-                            stream_name="test.tlp_model.loader")
+    shuffle = stream("test.tlp_model.loader")
     epoch_losses = []
     for _ in range(5):
         total, batches = 0.0, 0
-        for Xb, mb, yb in loader:
+        order = shuffle.permutation(X.shape[0])
+        for start in range(0, X.shape[0], 16):
+            b = order[start : start + 16]
             opt.zero_grad()
-            loss = nn.lambda_rank_loss(model(Xb, mb), yb)
+            loss = nn.lambda_rank_loss(model(X[b], mask[b]), labels[b])
             loss.backward()
             opt.step()
             total += float(loss.data)
@@ -127,8 +128,8 @@ def test_gradcheck_full_model():
     model = TLPModel(tiny)
     # Keep the whole network on one smooth piece: small inputs plus
     # positive bias nudges hold every relu preactivation away from its
-    # kink under the finite-difference perturbations, and the MSE head is
-    # smooth where lambda-rank's sort permutation is not (lambda-rank has
+    # kink under the finite-difference perturbations, and a squared-error
+    # loss is smooth where lambda-rank's sort permutation is not (lambda-rank has
     # its own score-controlled gradcheck in test_nn_losses).
     for linear in (model.up1, model.up2, model.res_blocks[0].fc):
         linear.weight.data *= np.float32(0.2)
@@ -141,7 +142,8 @@ def test_gradcheck_full_model():
     labels = rng.random(2).astype(np.float32)
 
     def loss_fn():
-        return nn.mse_loss(model(Xs, ms), labels)
+        diff = model(Xs, ms) - labels
+        return (diff * diff).mean()
 
     # q/k projections are excluded: their end-to-end gradients are ~4
     # orders of magnitude below the v-path here, under the float32

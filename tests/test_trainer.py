@@ -157,6 +157,16 @@ def test_trainer_validates_model_and_platforms(store):
         _make_trainer(store, platforms=("graviton2",))
 
 
+def test_evaluate_rejects_platform_not_in_store(store):
+    """Regression: an unknown platform name used to surface as a bare
+    ``ValueError: tuple.index(x)``; it raises the constructor's KeyError."""
+    _, trainer = _make_trainer(store, epochs=1)
+    with pytest.raises(KeyError, match="graviton2.*not in store platforms"):
+        trainer.evaluate(platforms=("graviton2",))
+    with pytest.raises(KeyError, match="not in store platforms"):
+        _make_trainer(store, platforms=("graviton2",))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError, match="pairs"):
         TrainConfig(segment_size=1)
