@@ -1,4 +1,4 @@
-"""Abstract-interpreter benchmarks: static profiling throughput and the
+"""Abstract-interpreter benchmarks: interpretation throughput and the
 Pruner-style draft-then-verify serving win.
 
 The headline comparison: ``CandidateScorer.propose_topk`` with
@@ -40,6 +40,12 @@ _LR = 3e-3
 
 def build_subgraph():
     return matmul_subgraph(128, 128, 128)
+
+
+def interpret_batch(subgraph, candidates):
+    """Every candidate's loop nest, from one interpreter for the batch."""
+    interp = absint.Interpreter(subgraph, "cpu")
+    return [interp.profile(s.primitives) for s in candidates]
 
 
 def build_trained_scorer(subgraph):
@@ -92,11 +98,11 @@ def candidates(subgraph):
                              stream("bench.absint.plane"))
 
 
-def test_profile_many_throughput(benchmark, subgraph, candidates):
-    """Static-feature plane extraction over the full candidate batch."""
-    plane = benchmark(absint.profile_many, subgraph, candidates)
-    assert plane.shape == (N_CANDIDATES, len(absint.STATIC_FEATURE_NAMES))
-    assert np.isfinite(plane).all()
+def test_interpreter_throughput(benchmark, subgraph, candidates):
+    """One interpreter over the full candidate batch."""
+    nests = benchmark(interpret_batch, subgraph, candidates)
+    assert len(nests) == N_CANDIDATES
+    assert nests[0] == candidates[0].apply() and nests[-1] == candidates[-1].apply()
 
 
 def test_draft_scores_throughput(benchmark, subgraph, candidates):

@@ -1,7 +1,8 @@
 """Measure the abstract-interpreter perf numbers and write the trajectory file.
 
 ``make bench-save`` runs this script after the simhw saver; it times
-static profiling and draft scoring over a 1,024-candidate batch, the
+interpretation (one interpreter for the batch) and draft scoring over a
+1,024-candidate batch, the
 draft-then-verify serving round against the full-predict round (same
 trained model and seeded candidate stream as ``bench_absint.py``), and
 writes ``BENCH_absint.json`` at the repo root.  The top-1-preserved flag
@@ -27,6 +28,7 @@ from bench_absint import (  # noqa: E402
     TOP_K,
     build_subgraph,
     build_trained_scorer,
+    interpret_batch,
 )
 from repro.analysis import absint  # noqa: E402
 from repro.tensorir import SketchConfig, SketchGenerator  # noqa: E402
@@ -43,7 +45,7 @@ def main() -> int:
     candidates = gen.generate_many(subgraph, N_CANDIDATES,
                                    stream("bench.absint.plane"))
 
-    t_profile = best_of(lambda: absint.profile_many(subgraph, candidates), REPEATS)
+    t_interpret = best_of(lambda: interpret_batch(subgraph, candidates), REPEATS)
     t_draft = best_of(lambda: absint.draft_scores(subgraph, candidates), REPEATS)
 
     with Timer() as t_train:
@@ -66,9 +68,8 @@ def main() -> int:
     report = {
         "benchmark": "absint",
         "candidates": N_CANDIDATES,
-        "static_features": len(absint.STATIC_FEATURE_NAMES),
-        "profile_many_seconds": t_profile,
-        "profiles_per_sec": N_CANDIDATES / t_profile,
+        "interpret_seconds": t_interpret,
+        "nests_per_sec": N_CANDIDATES / t_interpret,
         "draft_scores_seconds": t_draft,
         "train_seconds": t_train.elapsed,
         "draft_keep": DRAFT_KEEP,
@@ -81,9 +82,9 @@ def main() -> int:
     }
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
-    print(f"profile_many: {N_CANDIDATES} candidates in "
-          f"{format_seconds(t_profile)} "
-          f"({N_CANDIDATES / t_profile:,.0f} profiles/sec)")
+    print(f"interpret: {N_CANDIDATES} candidates in "
+          f"{format_seconds(t_interpret)} "
+          f"({N_CANDIDATES / t_interpret:,.0f} nests/sec)")
     print(f"draft_scores: {format_seconds(t_draft)}")
     print(f"serving round: full {format_seconds(t_full)} vs drafted "
           f"{format_seconds(t_drafted)} ({t_full / t_drafted:.2f}x, "

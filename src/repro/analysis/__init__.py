@@ -2,11 +2,10 @@
 verification, and the repo lint.
 
 * ``absint`` — the one interpreter of primitive sequences: a transfer
-  function per primitive kind over an interval loop-nest domain.
-  Fail-fast, it yields a :class:`~repro.analysis.absint.StaticProfile`
-  (static feature plane, draft scores for draft-then-verify ranking, and
-  the loop nest ``Schedule.apply()`` returns); collecting, it yields every
-  diagnostic of a sequence.
+  function per primitive kind over the loop nest.  Fail-fast, it yields
+  the ``LoopNest`` ``Schedule.apply()`` returns (and the draft scores for
+  draft-then-verify ranking are priced from it); collecting, it yields
+  every diagnostic of a sequence.
 * ``verifier`` — the verification entry points over that interpreter
   (structural E1xx rules, axis-liveness E2xx dataflow, W3xx performance
   smells) and the fail-closed gates.
@@ -28,12 +27,7 @@ from repro.analysis.diagnostics import (
     has_errors,
     taxonomy_table,
 )
-from repro.analysis.absint import (
-    AbsIntError,
-    StaticProfile,
-    profile,
-    profile_many,
-)
+from repro.analysis.absint import AbsIntError, profile
 from repro.analysis.verifier import (
     SequenceVerifier,
     VerifierConfig,
@@ -51,10 +45,8 @@ __all__ = [
     "InvalidScheduleError",
     "SequenceVerifier",
     "Severity",
-    "StaticProfile",
     "VerifierConfig",
     "profile",
-    "profile_many",
     "assert_valid",
     "assert_valid_many",
     "errors",

@@ -5,34 +5,29 @@ sampler's fail-closed gate, the dataset build, ``Schedule.apply()`` and
 the draft-then-verify scorer — goes through the :class:`Interpreter`
 here.  Each primitive kind has exactly one transfer function: it checks
 the step's rules, reporting every violation under its diagnostic code
-(``repro.analysis.diagnostics``), and updates the abstract loop nest.  So
+(``repro.analysis.diagnostics``), and updates the loop nest.  So
 "valid" and "what the schedule does" cannot drift apart: a sequence
 without error diagnostics is exactly a sequence that interprets, and
-``profile(...).to_nest()`` *is* ``Schedule.apply()``.
+``profile(...)`` *is* ``Schedule.apply()``.
 
-The abstract domain is an ordered list of loops whose trip counts are
-:class:`Interval` values.  Every interval's upper bound is the padded
-extent of the loop, while the lower bound tracks the minimum number of
-*useful* iterations once split padding is accounted for — a padded split
-leaves its first inner level with a ragged final tile, so that loop's
-interval widens while every trip count stays exact.  Axis names move
-through ``UNDEFINED -> LIVE -> CONSUMED``: subgraph axes start live;
-SP/FSP and FU consume their inputs and define fresh axes; every other
-primitive may only reference live axes.  Bound GPU thread tags and the
-stage flags persist for the whole sequence.
+The interpreted state is the loop nest itself: an ordered list of
+``repro.tensorir.loops.Loop`` values (outermost first) whose extents are
+the padded trip counts, plus the stage flags of a ``LoopNest``.  Axis
+names move through ``UNDEFINED -> LIVE -> CONSUMED``: subgraph axes
+start live; SP/FSP and FU consume their inputs and define fresh axes;
+every other primitive may only reference live axes.  Bound GPU thread
+tags and the stage flags persist for the whole sequence.
 
 Consumers:
 
-* :func:`profile` — fail-fast interpretation into a :class:`StaticProfile`
+* :func:`profile` — fail-fast interpretation into the ``LoopNest``
   (raises :class:`AbsIntError`, a ``ScheduleError``, on the first error).
 * ``repro.analysis.verifier`` — collect-all interpretation: every
   diagnostic of a sequence, including the W301–W306 smells.
-* :func:`profile_many` — fixed-width float32 static-feature plane
-  (``STATIC_FEATURE_NAMES`` columns) for screening models.
-* :func:`draft_scores` — Pruner-style draft score: the static profile is
-  costed on the target's *reference* ``simhw`` platform, no TLP model
-  involved.  ``CandidateScorer.propose_topk(draft_keep=...)`` uses it to
-  run ``TLPModel.predict`` on the top slice only.
+* :func:`draft_scores` — Pruner-style draft score: the nest is costed on
+  the target's *reference* ``simhw`` platform, no TLP model involved.
+  ``CandidateScorer.propose_topk(draft_keep=...)`` uses it to run
+  ``TLPModel.predict`` on the top slice only.
 """
 
 from __future__ import annotations
@@ -105,82 +100,6 @@ class AbsIntError(ScheduleError):
         self.step = diagnostic.primitive_index
 
 
-@dataclass(frozen=True)
-class Interval:
-    """An integer interval ``[lo, hi]`` of useful-iteration counts.
-
-    ``hi`` is the loop's (padded) trip count — exact, since padded splits
-    run all iterations and mask the padding.  ``lo`` is the minimum
-    number of useful iterations any instance of the loop performs; the
-    two coincide unless some enclosing split padded the axis.
-    """
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo * other.lo, self.hi * other.hi)
-
-    def __str__(self) -> str:
-        return str(self.hi) if self.exact else f"[{self.lo}, {self.hi}]"
-
-
-@dataclass(frozen=True)
-class AbstractLoop:
-    """One loop of the abstract nest (outermost-first order)."""
-
-    name: str
-    trip: Interval
-    is_reduction: bool = False
-    kind: LoopKind = LoopKind.SERIAL
-    thread_tag: str = ""
-    pragmas: tuple[tuple[str, int], ...] = ()
-    rfactored: bool = False
-
-    @property
-    def extent(self) -> int:
-        """The concrete (padded) trip count of the loop."""
-        return self.trip.hi
-
-
-#: Columns of the :func:`profile_many` static-feature plane, in order.
-STATIC_FEATURE_NAMES: tuple[str, ...] = (
-    "depth",
-    "log2_padded_points",
-    "log2_domain_points",
-    "padding_ratio",
-    "useful_fraction",        # prod(trip.lo) / prod(trip.hi) — interval mass
-    "flops_per_point",
-    "n_steps",
-    "parallel_extent",
-    "parallel_depth",         # outermost parallel loop's level (depth if none)
-    "vector_extent",
-    "vector_at_innermost",
-    "unrolled_extent",
-    "unroll_step",            # max auto_unroll_max_step pragma
-    "grid_blocks",
-    "threads_per_block",
-    "pow2_conflicts",
-    "log2_outer_tile_bytes",  # working set of one outermost-loop iteration
-    "log2_tile_points_l0",    # deepest suffix tile per reference cache level
-    "log2_tile_points_l1",
-    "log2_tile_points_l2",
-    "cache_write",
-    "compute_at",
-    "compute_root",
-    "inlined",
-    "rfactored",
-)
-
-
 def reference_platform(target: str) -> Platform:
     """The canonical ``simhw`` platform for a target (first of its kind)."""
     for p in ALL_PLATFORMS:
@@ -210,184 +129,16 @@ def working_set_bytes(points: float) -> float:
     return BYTES_PER_POINT * float(points) ** REUSE_EXPONENT
 
 
-@dataclass(frozen=True)
-class StaticProfile:
-    """Everything :func:`profile` derives from a sequence without applying it."""
-
-    subgraph_name: str
-    target: str
-    n_steps: int
-    loops: tuple[AbstractLoop, ...]
-    cache_write: bool
-    inlined: bool
-    compute_at_axis: str
-    compute_root: bool
-    domain_points: int
-    flops_per_point: float
-    #: (step index, axis name, abstract extent) per ``parallel`` annotation.
-    parallel_facts: tuple[tuple[int, str, int], ...]
-    #: (step index, axis name) per ``unroll`` annotation.
-    unroll_facts: tuple[tuple[int, str], ...]
-    #: Per-step nest snapshots ((name, extent), ...) when profiled with
-    #: ``trace=True`` — the differential hook against a reference applier.
-    trace: tuple[tuple[tuple[str, int], ...], ...] | None = None
-
-    @property
-    def depth(self) -> int:
-        return len(self.loops)
-
-    def extents(self) -> tuple[int, ...]:
-        return tuple(l.extent for l in self.loops)
-
-    def padded_points(self) -> int:
-        return math.prod(l.extent for l in self.loops)
-
-    def useful_points(self) -> int:
-        """Lower bound on useful iterations (product of interval floors)."""
-        return math.prod(l.trip.lo for l in self.loops)
-
-    def padding_ratio(self) -> float:
-        if self.domain_points <= 0:
-            return math.inf
-        return self.padded_points() / self.domain_points
-
-    def to_nest(self) -> LoopNest:
-        """Concretize the abstract nest: the loop nest ``Schedule.apply()``
-        returns."""
-        return LoopNest(
-            subgraph_name=self.subgraph_name,
-            loops=[
-                Loop(
-                    l.name,
-                    l.extent,
-                    is_reduction=l.is_reduction,
-                    kind=l.kind,
-                    thread_tag=l.thread_tag,
-                    pragmas=l.pragmas,
-                    rfactored=l.rfactored,
-                )
-                for l in self.loops
-            ],
-            cache_write=self.cache_write,
-            inlined=self.inlined,
-            compute_at_axis=self.compute_at_axis,
-            compute_root=self.compute_root,
-        )
-
-    # -- derived geometry -------------------------------------------------
-
-    def grid_geometry(self) -> tuple[int, int]:
-        """(grid blocks, threads per block) from the ``bind.*`` tags."""
-        grid = threads = 1
-        for l in self.loops:
-            if not l.thread_tag:
-                continue
-            if l.thread_tag.startswith("blockIdx"):
-                grid *= l.extent
-            else:  # threadIdx.* and vthread both occupy the block
-                threads *= l.extent
-        return grid, threads
-
-    def pow2_conflicts(self) -> int:
-        """Large power-of-two *middle* loop extents (the W301/simhw smell)."""
-        count = 0
-        for l in self.loops[1:-1]:
-            e = l.extent
-            if e >= POW2_CONFLICT_THRESHOLD and (e & (e - 1)) == 0:
-                count += 1
-        return count
-
-    def outer_tile_points(self) -> int:
-        """Points one iteration of the outermost loop touches."""
-        if not self.loops:
-            return 1
-        return math.prod(l.extent for l in self.loops[1:])
-
-    def tile_points_per_level(self, cache_kb: Sequence[float]) -> tuple[float, ...]:
-        """Deepest loop-suffix tile (points) fitting each cache level,
-        the suffix-product walk of ``simhw.cache.tile_points``."""
-        suffix: list[float] = []
-        acc = 1.0
-        for l in reversed(self.loops):
-            acc *= l.extent
-            suffix.append(acc)
-        out: list[float] = []
-        for kb in cache_kb:
-            capacity_points = (kb * 1024.0 / BYTES_PER_POINT) ** (1.0 / REUSE_EXPONENT)
-            best = 1.0
-            for t in suffix:  # ascending toward the outermost suffix
-                if t <= capacity_points:
-                    best = t
-                else:
-                    break
-            out.append(max(best, 1.0))
-        return tuple(out)
-
-    def unroll_step(self) -> int:
-        step = 0
-        for l in self.loops:
-            for name, value in l.pragmas:
-                if name == "auto_unroll_max_step":
-                    step = max(step, int(value))
-        return step
-
-    def features(self) -> np.ndarray:
-        """The fixed-width float32 feature row (``STATIC_FEATURE_NAMES``)."""
-        padded = float(self.padded_points())
-        parallel_extent = 1.0
-        parallel_depth = float(self.depth)
-        vector_extent = 1.0
-        unrolled_extent = 1.0
-        for level, l in enumerate(self.loops):
-            if l.kind is LoopKind.PARALLEL:
-                parallel_extent *= l.extent
-                parallel_depth = min(parallel_depth, float(level))
-            elif l.kind is LoopKind.VECTORIZED:
-                vector_extent *= l.extent
-            elif l.kind is LoopKind.UNROLLED:
-                unrolled_extent *= l.extent
-        grid, threads = self.grid_geometry()
-        ref = reference_platform(self.target)
-        tiles = self.tile_points_per_level(ref.cache_kb)
-        tile_cols = [math.log2(tiles[i]) if i < len(tiles) else 0.0 for i in range(3)]
-        row = (
-            float(self.depth),
-            math.log2(max(padded, 1.0)),
-            math.log2(max(float(self.domain_points), 1.0)),
-            self.padding_ratio(),
-            self.useful_points() / max(padded, 1.0),
-            self.flops_per_point,
-            float(self.n_steps),
-            parallel_extent,
-            parallel_depth,
-            vector_extent,
-            1.0 if self.loops and self.loops[-1].kind is LoopKind.VECTORIZED else 0.0,
-            unrolled_extent,
-            float(self.unroll_step()),
-            float(grid),
-            float(threads),
-            float(self.pow2_conflicts()),
-            math.log2(max(working_set_bytes(self.outer_tile_points()), 1.0)),
-            *tile_cols,
-            1.0 if self.cache_write else 0.0,
-            1.0 if self.compute_at_axis else 0.0,
-            1.0 if self.compute_root else 0.0,
-            1.0 if self.inlined else 0.0,
-            1.0 if any(l.rfactored for l in self.loops) else 0.0,
-        )
-        return np.asarray(row, dtype=np.float32)
-
-
 class Interpreter:
     """The semantics of primitive sequences against one subgraph and target.
 
     Every primitive kind has one transfer function (``_visit_<kind>``) that
     checks the step's rules — E1xx structural, E2xx liveness/dataflow,
-    W301–W303 smells — and updates the abstract nest.  A run has one of
-    two modes:
+    W301–W303 smells — and updates the loop nest.  A run has one of two
+    modes:
 
     * **fail-fast** (:meth:`profile`): the first error diagnostic raises
-      :class:`AbsIntError`; otherwise the run yields a :class:`StaticProfile`.
+      :class:`AbsIntError`; otherwise the run yields the ``LoopNest``.
     * **collect** (:meth:`diagnose`): errors are recorded and the run
       recovers best-effort, so one corrupt step does not mask later ones.
       A step that fails a check leaves the nest as it was, except that an
@@ -412,11 +163,9 @@ class Interpreter:
         self.target = target
         self.config = config
         self._initial = tuple(
-            AbstractLoop(a.name, Interval(a.extent, a.extent), a.is_reduction)
-            for a in subgraph.axes
+            Loop(a.name, a.extent, is_reduction=a.is_reduction) for a in subgraph.axes
         )
         self._initial_axes = dict.fromkeys(a.name for a in subgraph.axes)
-        self._domain_points = subgraph.total_points
         self._flops_per_point = float(subgraph.flops_per_point)
         self._pad_limit = 1.0 + config.pad_allowance
         self._smell_bars: tuple[float, int, int] | None = None
@@ -424,23 +173,16 @@ class Interpreter:
 
     # -- runs ---------------------------------------------------------------
 
-    def profile(self, primitives: Sequence[Primitive], *, trace: bool = False) -> StaticProfile:
-        """Fail-fast: the sequence's static profile, or :class:`AbsIntError`."""
-        snapshots = self._run(primitives, fail_fast=True, trace=trace)
-        return StaticProfile(
+    def profile(self, primitives: Sequence[Primitive]) -> LoopNest:
+        """Fail-fast: the sequence's loop nest, or :class:`AbsIntError`."""
+        self._run(primitives, fail_fast=True)
+        return LoopNest(
             subgraph_name=self.subgraph.name,
-            target=self.target,
-            n_steps=len(self.primitives),
-            loops=tuple(self.loops),
+            loops=self.loops,
             cache_write=self.cache_write,
             inlined=self.inlined_at is not None,
             compute_at_axis=self.compute_at_axis,
             compute_root=self.compute_root,
-            domain_points=self._domain_points,
-            flops_per_point=self._flops_per_point,
-            parallel_facts=tuple(self.parallel_facts),
-            unroll_facts=tuple(self.unroll_facts),
-            trace=snapshots,
         )
 
     def diagnose(
@@ -460,11 +202,8 @@ class Interpreter:
             self._smells()
         return self.diags
 
-    def _run(
-        self, primitives: Sequence[Primitive], fail_fast: bool, trace: bool = False
-    ) -> tuple[tuple[tuple[str, int], ...], ...] | None:
-        """Interpret one sequence into the per-run state below; returns the
-        per-step ``(name, extent)`` snapshots when tracing."""
+    def _run(self, primitives: Sequence[Primitive], fail_fast: bool) -> None:
+        """Interpret one sequence into the per-run state below."""
         self.primitives = primitives = tuple(primitives)
         self.fail_fast = fail_fast
         self.failed = False
@@ -478,7 +217,6 @@ class Interpreter:
         self.inlined_at: int | None = None
         self.parallel_facts: list[tuple[int, str, int]] = []
         self.unroll_facts: list[tuple[int, str]] = []
-        snapshots = []
         for index, prim in enumerate(primitives):
             self.step = index
             kind = KIND_BY_VALUE.get(prim.kind)
@@ -491,9 +229,6 @@ class Interpreter:
                 break
             elif self._arity_ok(kind, prim):
                 _VISITORS[kind](self, prim)
-            if trace:
-                snapshots.append(tuple((l.name, l.extent) for l in self.loops))
-        return tuple(snapshots) if trace else None
 
     # -- plumbing -----------------------------------------------------------
 
@@ -531,14 +266,14 @@ class Interpreter:
             return [l.name for l in self.loops].index(axis)
         return None
 
-    def _consume(self, at: int, n: int = 1) -> list[AbstractLoop]:
+    def _consume(self, at: int, n: int = 1) -> list[Loop]:
         consumed = self.loops[at : at + n]
         del self.loops[at : at + n]
         for loop in consumed:
             self.axes[loop.name] = self.step
         return consumed
 
-    def _define(self, at: int, loop: AbstractLoop) -> None:
+    def _define(self, at: int, loop: Loop) -> None:
         if loop.name in self.axes:
             self._emit("E203", f"axis {loop.name!r} defined twice", loop.name)
             return
@@ -555,7 +290,7 @@ class Interpreter:
         # What a split does depends only on these, so it is worked out once
         # per instance — sampled batches repeat the same splits constantly.
         loop = self.loops[at]
-        key = (prim.ints[0], factors, axis, loop.trip.lo, loop.trip.hi, loop.is_reduction)
+        key = (prim.ints[0], factors, axis, loop.extent, loop.is_reduction)
         outcome = self._split_memo.get(key)
         if outcome is None:
             outcome = self._split_memo[key] = self._split_outcome(prim.ints[0], factors, loop)
@@ -569,8 +304,8 @@ class Interpreter:
             self._define(at + offset, part)
 
     def _split_outcome(
-        self, carried: int, factors: tuple[int, ...], loop: AbstractLoop
-    ) -> tuple[tuple[tuple[str, str], ...], tuple[AbstractLoop, ...] | None]:
+        self, carried: int, factors: tuple[int, ...], loop: Loop
+    ) -> tuple[tuple[tuple[str, str], ...], tuple[Loop, ...] | None]:
         """The findings of splitting a live loop, and the loops it becomes
         (``None`` when the split is rejected).  An E108 extent mismatch
         does not reject: the tracked extent is split."""
@@ -599,10 +334,9 @@ class Interpreter:
                     f"middle-loop extent {f} on {axis!r} is a large power of two "
                     "(cache-set / bank conflict smell)",
                 ))
-        trips = _split_intervals(loop.trip, parts, padded)
         return tuple(findings), tuple(
-            AbstractLoop(name, trip, loop.is_reduction)
-            for name, trip in zip(split_names(axis, len(parts)), trips)
+            Loop(name, part, is_reduction=loop.is_reduction)
+            for name, part in zip(split_names(axis, len(parts)), parts)
         )
 
     def _visit_sp(self, prim: Primitive) -> None:
@@ -672,11 +406,9 @@ class Interpreter:
             self._emit("E109", f"fuse axes {named} are not adjacent in {live}")
             return
         merged = self._consume(at, len(named))
-        trip = merged[0].trip
-        for loop in merged[1:]:
-            trip = trip * loop.trip
+        extent = math.prod(l.extent for l in merged)
         is_reduction = any(l.is_reduction for l in merged)
-        self._define(at, AbstractLoop(fused_name(named), trip, is_reduction))
+        self._define(at, Loop(fused_name(named), extent, is_reduction=is_reduction))
 
     # -- annotation primitives ----------------------------------------------
 
@@ -837,123 +569,53 @@ _VISITORS = {
 }
 
 
-def _split_intervals(
-    trip: Interval, parts: tuple[int, ...], padded: int
-) -> tuple[Interval, ...]:
-    """Trip intervals of the loops a split produces.
-
-    Trip counts are exact (``hi == part``).  When the factors do not
-    divide the extent, the last outer iteration covers only the remainder,
-    so the first inner level's useful count drops — the remainder is
-    attributed there and deeper levels stay exact.  Splitting an already
-    widened interval keeps only the outermost bound tight (sound, coarse).
-    """
-    outer, *inner = parts
-    if not trip.exact:
-        # Splitting an already widened interval: trip counts stay exact,
-        # the useful floors collapse to 1 (sound but coarse).
-        return tuple(Interval(1, p) for p in parts)
-    if padded == trip.hi or not inner:
-        return tuple(Interval(p, p) for p in parts)
-    inner_points = math.prod(inner)
-    deeper = math.prod(inner[1:])  # 1 when the split has a single factor
-    remainder = trip.hi - (outer - 1) * inner_points
-    first_lo = min(inner[0], max(1, math.ceil(remainder / deeper)))
-    return (
-        Interval(outer, outer),
-        Interval(first_lo, inner[0]),
-        *(Interval(p, p) for p in inner[1:]),
-    )
-
-
 def _primitives_of(sequence: "Sequence[Primitive] | object") -> tuple[Primitive, ...]:
     prims = getattr(sequence, "primitives", sequence)
     return tuple(prims)
 
 
 def profile(
-    subgraph: Subgraph,
-    sequence: "Sequence[Primitive] | object",
-    target: str = "cpu",
-    *,
-    trace: bool = False,
-) -> StaticProfile:
-    """Abstractly interpret one sequence (a ``Schedule`` or primitive
-    tuple), raising :class:`AbsIntError` on its first error diagnostic."""
-    return Interpreter(subgraph, target).profile(_primitives_of(sequence), trace=trace)
-
-
-def _profiles(
-    subgraph: Subgraph,
-    sequences: Sequence["StaticProfile | Sequence[Primitive] | object"],
-    target: str,
-) -> list[StaticProfile]:
-    """Profiles of a batch; items that already are profiles pass through."""
-    interp = Interpreter(subgraph, target)
-    return [
-        s if isinstance(s, StaticProfile) else interp.profile(_primitives_of(s))
-        for s in sequences
-    ]
-
-
-def profile_many(
-    subgraph: Subgraph,
-    sequences: Sequence["StaticProfile | Sequence[Primitive] | object"],
-    target: str = "cpu",
-) -> np.ndarray:
-    """Static-feature plane (float32 ``[N, len(STATIC_FEATURE_NAMES)]``)
-    for a batch of already-valid sequences (or their profiles) against
-    one subgraph."""
-    profiles = _profiles(subgraph, sequences, target)
-    plane = np.empty((len(profiles), len(STATIC_FEATURE_NAMES)), dtype=np.float32)
-    for i, prof in enumerate(profiles):
-        plane[i] = prof.features()
-    return plane
-
-
-def nest_features(
-    subgraph: Subgraph, profiles: Sequence[StaticProfile]
-) -> NestFeatures:
-    """``simhw.cache.NestFeatures`` built from static profiles alone."""
-    return NestFeatures.from_nests(subgraph, [p.to_nest() for p in profiles])
+    subgraph: Subgraph, sequence: "Sequence[Primitive] | object", target: str = "cpu"
+) -> LoopNest:
+    """Interpret one sequence (a ``Schedule`` or primitive tuple) into its
+    loop nest, raising :class:`AbsIntError` on its first error diagnostic."""
+    return Interpreter(subgraph, target).profile(_primitives_of(sequence))
 
 
 def draft_scores(
     subgraph: Subgraph,
-    sequences: Sequence["StaticProfile | Sequence[Primitive] | object"],
+    sequences: Sequence["LoopNest | Sequence[Primitive] | object"],
     target: str = "cpu",
 ) -> np.ndarray:
     """Pruner-style static draft scores, higher = better (float32 ``[N]``).
 
-    Costs each static profile on the target's reference platform with the
+    Costs each nest on the target's reference platform with the
     analytical ``simhw`` model — no quirk term, no learned model — and
     normalizes to ``min_latency / latency`` like the TLP training label.
-    Items that already are profiles (e.g. the sampler gate's) are not
+    Items that already are nests (e.g. the sampler gate's) are not
     interpreted again.
     """
-    from repro.simhw import cpu_model, gpu_model  # local: keep verifier import light
+    from repro.simhw.measure import latency_model  # local: keep verifier import light
 
     if not sequences:
         return np.empty(0, dtype=np.float32)
-    feats = nest_features(subgraph, _profiles(subgraph, sequences, target))
-    model = gpu_model if target == "gpu" else cpu_model
-    seconds, _ = model.latency_seconds(feats, reference_platform(target))
+    interp = Interpreter(subgraph, target)
+    nests = [
+        s if isinstance(s, LoopNest) else interp.profile(_primitives_of(s))
+        for s in sequences
+    ]
+    feats = NestFeatures.from_nests(subgraph, nests)
+    seconds, _ = latency_model(target).latency_seconds(feats, reference_platform(target))
     floor = np.maximum(seconds, np.float32(1e-30))
     return (floor.min() / floor).astype(np.float32)
 
 
 __all__ = [
     "AbsIntError",
-    "AbstractLoop",
     "Interpreter",
-    "Interval",
-    "STATIC_FEATURE_NAMES",
-    "StaticProfile",
     "VerifierConfig",
     "draft_scores",
-    "nest_features",
     "profile",
-    "profile_many",
     "reference_llc_kb",
     "reference_min_cores",
     "reference_platform",

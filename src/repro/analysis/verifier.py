@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.analysis.absint import AbsIntError, Interpreter, StaticProfile, VerifierConfig
+from repro.analysis.absint import AbsIntError, Interpreter, VerifierConfig
 from repro.analysis.diagnostics import Diagnostic, InvalidScheduleError, errors
+from repro.tensorir.loops import LoopNest
 from repro.tensorir.primitives import Primitive
 from repro.tensorir.schedule import Schedule
 from repro.tensorir.subgraph import Subgraph
@@ -131,23 +132,22 @@ def assert_valid_many(
 
 def profile_valid_many(
     subgraph: Subgraph, sequences: "Iterable[tuple[Primitive, ...]]", target: str = "cpu"
-) -> list[StaticProfile]:
+) -> list[LoopNest]:
     """The fail-closed generation gate, handing on what it computed.
 
     One fail-fast interpretation per sequence, raising
     :class:`InvalidScheduleError` on the first error diagnostic, that
-    returns each sequence's static profile — so callers (the dataset
-    build's static plane and nests, the scorer's draft) never interpret
-    the sequence again.
+    returns each sequence's loop nest — so callers (the dataset build's
+    pricing, the scorer's draft) never interpret the sequence again.
     """
     interpreter = Interpreter(subgraph, target)
-    profiles = []
+    nests = []
     for seq in sequences:
         try:
-            profiles.append(interpreter.profile(seq))
+            nests.append(interpreter.profile(seq))
         except AbsIntError as err:
             raise _rejected(subgraph, [err.diagnostic]) from err
-    return profiles
+    return nests
 
 
 __all__ = [

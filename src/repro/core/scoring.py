@@ -100,16 +100,19 @@ class CandidateScorer:
         return self.model.predict(X, mask, max_chunk=self.max_chunk)
 
     def score_topk(self, subgraph: Subgraph, candidates: Sequence[SequenceLike],
-                   k: int, target: str = "cpu") -> ScoredTopK:
+                   k: int, target: str | None = None) -> ScoredTopK:
         """Verify, featurize, score, and rank external candidates.
 
-        Candidates failing static verification are dropped before
-        featurization (they would poison the ranking — DESIGN.md §8) and
-        counted in ``n_invalid``.  Returns the top-``k`` valid candidates
-        by descending score; ties break toward the earlier index so the
-        ranking is deterministic.
+        Candidates failing static verification against ``target`` (by
+        default the generator's target, ``"cpu"`` without a generator)
+        are dropped before featurization (they would poison the ranking —
+        DESIGN.md §8) and counted in ``n_invalid``.  Returns the
+        top-``k`` valid candidates by descending score; ties break toward
+        the earlier index so the ranking is deterministic.
         """
         k = _require_positive("k", k)
+        if target is None:
+            target = self.generator.config.target if self.generator else "cpu"
         sequences = [_primitives_of(c) for c in candidates]
         diagnostics = verify_many(subgraph, sequences, target, stop_on_error=True)
         valid = [i for i, diags in enumerate(diagnostics) if not errors(diags)]

@@ -2,11 +2,10 @@
 
 Turns ``(network-pool spec, platforms, root seed)`` into a columnar,
 memory-mapped, bit-reproducible shard store of TLP training records —
-featurized ``[N, seq_len, emb]`` planes, absint static-profile planes,
-simulated latencies, per-task ``min_latency/latency`` labels, and
-``(task_id, platform_id, candidate, seed)`` provenance — plus a JSON
-manifest that makes the store resumable from ``(manifest, root seed)``
-after a crash mid-shard.
+featurized ``[N, seq_len, emb]`` planes, simulated latencies, per-task
+``min_latency/latency`` labels, and ``(task_id, platform_id, candidate,
+seed)`` provenance — plus a JSON manifest that makes the store
+resumable from ``(manifest, root seed)`` after a crash mid-shard.
 
 * ``spec``     — :class:`DatasetSpec` and the deterministic row plan.
 * ``pipeline`` — :func:`build_dataset`, the single-pass generation hot

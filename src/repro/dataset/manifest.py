@@ -29,7 +29,9 @@ from pathlib import Path
 from repro.dataset.shards import ShardSchema, shard_name
 from repro.dataset.spec import DatasetSpec
 
-MANIFEST_VERSION = 1
+#: On-disk layout version.  2: the shards no longer carry a ``static``
+#: column; a version-1 store is refused on load and on resume.
+MANIFEST_VERSION = 2
 MANIFEST_FILENAME = "manifest.json"
 
 STATUS_BUILDING = "building"

@@ -6,20 +6,18 @@ pipeline spreads over a measurement farm:
 1. **Generate** — ``SketchGenerator.generate_profiled`` samples the
    task's candidate schedules from a batch-private named rng stream
    (``spec.candidate_stream``), verified fail-closed by one abstract
-   interpretation per sequence.
-2. **Profile** — the gate's static profiles yield both the static
-   feature plane and the concrete loop nest (``StaticProfile.to_nest()``),
+   interpretation per sequence, which yields the sequence's loop nest —
    so no sequence is interpreted a second time.
-3. **Featurize** — ``TLPFeaturizer.transform_into`` writes the
+2. **Featurize** — ``TLPFeaturizer.transform_into`` writes the
    ``[C, seq_len, emb]`` TLP planes straight into one preallocated batch
    buffer (zero steady-state tensor allocations; the featurizer's memo
    is cleared between batches so memory stays flat).
-4. **Measure** — the nests are flattened once (``NestFeatures``) and
-   priced on *every* spec platform of the batch's target with the
-   vectorized ``simhw`` cost models + deterministic quirk streams —
-   bit-identical to ``measure_many``, but the generation/profiling/
-   featurization cost is amortized across all same-target platforms.
-5. **Label + stream out** — per-(task, platform) ``min_latency/latency``
+3. **Measure** — the nests are flattened once (``NestFeatures``) and
+   priced on *every* spec platform of the batch's target with
+   ``simhw.measure.price_features`` — bit-identical to ``measure_many``,
+   but the generation/interpretation/featurization cost is amortized
+   across all same-target platforms.
+4. **Label + stream out** — per-(task, platform) ``min_latency/latency``
    labels, then rows stream into the :class:`ShardWriter`, which
    journals every completed shard into the manifest.
 
@@ -40,7 +38,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.absint import STATIC_FEATURE_NAMES
 from repro.core.extractor import TLPFeaturizer
 from repro.core.postprocess import PostprocessConfig
 from repro.dataset.manifest import (
@@ -67,9 +64,8 @@ from repro.dataset.spec import (
     plan_batches,
     total_records,
 )
-from repro.simhw import cpu_model, gpu_model
 from repro.simhw.cache import NestFeatures
-from repro.simhw.measure import labels_from_latencies, quirk_multipliers
+from repro.simhw.measure import labels_from_latencies, price_features
 from repro.simhw.platform import get_platform
 from repro.tensorir.sketch import SketchConfig, SketchGenerator, TARGETS
 from repro.utils.rng import seed_for, stream
@@ -210,9 +206,7 @@ def build_dataset(
         )
 
     cfg = PostprocessConfig()
-    schema = ShardSchema(
-        seq_len=cfg.seq_len, emb=cfg.emb, static_width=len(STATIC_FEATURE_NAMES)
-    )
+    schema = ShardSchema(seq_len=cfg.seq_len, emb=cfg.emb)
     featurizer = fit_featurizer(spec)
     vocab = dict(featurizer.vocab_)
 
@@ -279,7 +273,6 @@ def _run_plans(
     # The per-batch buffers, allocated once: steady state rewrites these.
     X_buf = np.zeros((C, schema.seq_len, schema.emb), dtype=np.float32)
     mask_buf = np.zeros((C, schema.seq_len), dtype=np.float32)
-    static_buf = np.empty((C, schema.static_width), dtype=np.float32)
     task_buf = np.empty(C, dtype=np.int32)
     platform_buf = np.empty(C, dtype=np.int16)
     seed_buf = np.empty(C, dtype=np.uint64)
@@ -291,7 +284,7 @@ def _run_plans(
         _emit_batch(
             spec, plan, generators[plan.target], featurizer, writer, manifest,
             resume_row,
-            X_buf, mask_buf, static_buf, task_buf, platform_buf, seed_buf,
+            X_buf, mask_buf, task_buf, platform_buf, seed_buf,
             candidate_col,
         )
         # Keep long runs flat: the featurizer's per-primitive row memo is
@@ -309,7 +302,6 @@ def _emit_batch(
     resume_row: int,
     X_buf: np.ndarray,
     mask_buf: np.ndarray,
-    static_buf: np.ndarray,
     task_buf: np.ndarray,
     platform_buf: np.ndarray,
     seed_buf: np.ndarray,
@@ -320,13 +312,11 @@ def _emit_batch(
     stream_name = candidate_stream(spec, task, plan.target)
 
     # The generation gate's one abstract interpretation per candidate
-    # yields the static plane AND the concrete nest.
-    schedules, profiles = generator.generate_profiled(
+    # yields the loop nest simhw prices.
+    schedules, nests = generator.generate_profiled(
         task.subgraph, C, stream(stream_name, spec.root_seed)
     )
-    for i, prof in enumerate(profiles):
-        static_buf[i] = prof.features()
-    feats = NestFeatures.from_nests(task.subgraph, [p.to_nest() for p in profiles])
+    feats = NestFeatures.from_nests(task.subgraph, nests)
 
     featurizer.transform_into(schedules, X_buf, mask_buf)
 
@@ -340,7 +330,6 @@ def _emit_batch(
 
     task_buf[:] = task.task_id
     seed_buf[:] = seed_for(stream_name, spec.root_seed)
-    model = gpu_model if plan.target == "gpu" else cpu_model
 
     for pi, platform_idx in enumerate(plan.platform_ids):
         slice_start = plan.row_start + pi * C
@@ -349,16 +338,13 @@ def _emit_batch(
             continue  # this platform's rows are already durable
         skip = max(skip, 0)
         platform = get_platform(spec.platforms[platform_idx])
-        seconds, _ = model.latency_seconds(feats, platform)
-        quirk = quirk_multipliers(feats.signatures, platform, spec.root_seed)
-        latency = (seconds * quirk).astype(np.float32)
+        latency, _ = price_features(feats, platform, spec.root_seed)
         label = labels_from_latencies(latency)  # per-(task, platform) min
         platform_buf[:] = platform_idx
         writer.append(
             {
                 "X": X_buf[skip:C],
                 "mask": mask_buf[skip:C],
-                "static": static_buf[skip:C],
                 "latency": latency[skip:],
                 "label": label[skip:],
                 "task_id": task_buf[skip:C],

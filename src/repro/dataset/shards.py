@@ -39,7 +39,6 @@ TMP_SUFFIX = ".tmp"
 COLUMN_NAMES: tuple[str, ...] = (
     "X",            # float32 [n, seq_len, emb]   — TLPFeaturizer planes
     "mask",         # float32 [n, seq_len]        — sequence-length mask
-    "static",       # float32 [n, static_width]   — absint StaticProfile plane
     "latency",      # float32 [n]                 — simulated seconds
     "label",        # float32 [n]                 — min_latency/latency per task
     "task_id",      # int32   [n]                 — index into manifest tasks
@@ -55,13 +54,11 @@ class ShardSchema:
 
     seq_len: int
     emb: int
-    static_width: int
 
     def columns(self) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
         return {
             "X": (np.dtype(np.float32), (self.seq_len, self.emb)),
             "mask": (np.dtype(np.float32), (self.seq_len,)),
-            "static": (np.dtype(np.float32), (self.static_width,)),
             "latency": (np.dtype(np.float32), ()),
             "label": (np.dtype(np.float32), ()),
             "task_id": (np.dtype(np.int32), ()),
@@ -71,11 +68,11 @@ class ShardSchema:
         }
 
     def to_dict(self) -> dict:
-        return {"seq_len": self.seq_len, "emb": self.emb, "static_width": self.static_width}
+        return {"seq_len": self.seq_len, "emb": self.emb}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShardSchema":
-        return cls(int(d["seq_len"]), int(d["emb"]), int(d["static_width"]))
+        return cls(int(d["seq_len"]), int(d["emb"]))
 
 
 def shard_name(index: int) -> str:

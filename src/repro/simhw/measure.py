@@ -6,6 +6,11 @@ simulated platforms and returns a :class:`LatencyRecord`.  The batched
 ``measure_many`` is the dataset/trainer hot path — nest features are
 flattened once and every cost term is vectorized, so labelling ~10k
 schedules takes seconds on one core (``benchmarks/bench_simhw.py``).
+Every latency in the repo comes from one pricing function,
+:func:`price_features` (the target's cost model times the quirk
+multiplier), over a :class:`~repro.simhw.cache.NestFeatures` batch; the
+dataset build calls it directly on the nests its sampler gate already
+interpreted.
 
 Determinism contract: a measurement is a **pure function of
 (subgraph, primitive sequence, platform, root seed)**.  No wall clock
@@ -126,17 +131,30 @@ def extract_features(
 
     interpreter = Interpreter(subgraph, platform.target)
     nests = [
-        interpreter.profile(_coerce_schedule(subgraph, s, platform).primitives).to_nest()
+        interpreter.profile(_coerce_schedule(subgraph, s, platform).primitives)
         for s in schedules
     ]
     return NestFeatures.from_nests(subgraph, nests)
 
 
-def _base_latencies(
-    features: NestFeatures, platform: Platform
+def latency_model(target: str):
+    """The analytical cost model (``cpu_model`` or ``gpu_model``) of a target."""
+    return gpu_model if target == "gpu" else cpu_model
+
+
+def price_features(
+    features: NestFeatures, platform: Platform, root_seed: int
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    model = gpu_model if platform.target == "gpu" else cpu_model
-    return model.latency_seconds(features, platform)
+    """Simulated latencies (float32 seconds, [N]) of a flattened nest batch
+    on one platform, with the per-nest cost terms behind them.
+
+    The latency is the target model's ``latency_seconds`` times the
+    deterministic quirk multiplier; the terms are the model's breakdown
+    plus ``"quirk"``.
+    """
+    seconds, terms = latency_model(platform.target).latency_seconds(features, platform)
+    quirk = quirk_multipliers(features.signatures, platform, root_seed)
+    return (seconds * quirk).astype(np.float32), {**terms, "quirk": quirk}
 
 
 def measure_many(
@@ -154,9 +172,7 @@ def measure_many(
     """
     platform = get_platform(platform)
     features = extract_features(subgraph, schedules, platform)
-    seconds, _ = _base_latencies(features, platform)
-    quirk = quirk_multipliers(features.signatures, platform, root_seed)
-    return (seconds * quirk).astype(np.float32)
+    return price_features(features, platform, root_seed)[0]
 
 
 def measure(
@@ -169,19 +185,17 @@ def measure(
     """Simulate one measurement, returning the record with its breakdown."""
     platform = get_platform(platform)
     features = extract_features(subgraph, [schedule], platform)
-    seconds, terms = _base_latencies(features, platform)
-    quirk = quirk_multipliers(features.signatures, platform, root_seed)
-    latency = np.float32(seconds[0] * quirk[0])
+    latency, terms = price_features(features, platform, root_seed)
     return LatencyRecord(
         subgraph=subgraph.name,
         platform=platform.name,
-        latency=float(latency),
+        latency=float(latency[0]),
         compute_cycles=float(terms["compute_cycles"][0]),
         memory_cycles=float(terms["memory_cycles"][0]),
         overhead_cycles=float(terms["overhead_cycles"][0]),
         parallel_speedup=float(terms["parallel_speedup"][0]),
         conflict_factor=float(terms["conflict_factor"][0]),
-        quirk=float(quirk[0]),
+        quirk=float(terms["quirk"][0]),
     )
 
 
@@ -281,8 +295,10 @@ __all__ = [
     "LatencyRecord",
     "extract_features",
     "labels_from_latencies",
+    "latency_model",
     "measure",
     "measure_labels",
     "measure_many",
+    "price_features",
     "quirk_multipliers",
 ]

@@ -1,8 +1,8 @@
 """Schedule = subgraph + primitive sequence.
 
-``Schedule.apply()`` is the schedule's loop nest: the abstract
-interpreter in ``repro.analysis.absint`` — the one semantics of primitive
-sequences — concretized.  It raises :class:`ScheduleError` on exactly the
+``Schedule.apply()`` is the schedule's loop nest, exactly what the
+interpreter in ``repro.analysis.absint`` — the one semantics of
+primitive sequences — returns for it.  It raises :class:`ScheduleError` on exactly the
 sequences the static verifier reports an error diagnostic for.
 """
 
@@ -57,7 +57,7 @@ class Schedule:
         # Imported lazily: repro.analysis imports this module.
         from repro.analysis.absint import profile
 
-        return profile(self.subgraph, self.primitives, self.target).to_nest()
+        return profile(self.subgraph, self.primitives, self.target)
 
     def __len__(self) -> int:
         return len(self.primitives)

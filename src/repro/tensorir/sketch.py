@@ -5,21 +5,17 @@ how many tile levels each axis gets, whether a write-cache stage is added,
 which loops are annotated — with the free parameters (split factors,
 unroll steps) filled in by random sampling.  :class:`SketchGenerator`
 composes the two and interprets every generated sequence fail-closed (an
-invalid sequence is a bug, not a sample), handing the static profiles on.
+invalid sequence is a bug, not a sample), handing the loop nests on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
+from repro.tensorir.loops import LoopNest
 from repro.tensorir.schedule import Schedule
 from repro.tensorir.subgraph import Subgraph
-
-if TYPE_CHECKING:
-    from repro.analysis.absint import StaticProfile
 
 TARGETS = ("cpu", "gpu")
 
@@ -77,14 +73,15 @@ class SketchGenerator:
 
     def generate_profiled(
         self, subgraph: Subgraph, n: int, rng: np.random.Generator
-    ) -> "tuple[list[Schedule], list[StaticProfile]]":
-        """Sample ``n`` schedules and return them with their static profiles.
+    ) -> tuple[list[Schedule], list[LoopNest]]:
+        """Sample ``n`` schedules and return them with their loop nests.
 
         The sampler constructs sequences that are valid by definition of
         its own bookkeeping, so the gate is a guard against sampler bugs,
         not a filter: one fail-fast abstract interpretation per schedule
-        (``repro.analysis.verifier.profile_valid_many``), whose profiles
-        are handed on so callers never interpret a sequence twice.
+        (``repro.analysis.verifier.profile_valid_many``), whose nests —
+        each equal to ``schedule.apply()`` — are handed on so callers
+        never interpret a sequence twice.
         """
         # Imported lazily: repro.analysis imports repro.tensorir submodules,
         # so a module-level import here would be circular during package init.
@@ -93,10 +90,10 @@ class SketchGenerator:
 
         sampler = ScheduleSampler(self.config)
         schedules = [sampler.sample(subgraph, rng) for _ in range(n)]
-        profiles = profile_valid_many(
+        nests = profile_valid_many(
             subgraph, [s.primitives for s in schedules], self.config.target
         )
-        return schedules, profiles
+        return schedules, nests
 
 
 __all__ = ["SketchConfig", "SketchGenerator", "TARGETS"]

@@ -1,13 +1,13 @@
 """repro.analysis.absint — the one interpreter of primitive sequences.
 
 The load-bearing contract is differential (DESIGN.md §8): on every
-verifier-clean sequence the abstract nest concretizes to *exactly* what
+verifier-clean sequence the interpreter's loop nest is *exactly* the one
 the independent reference applier (``tests/reference_applier.py``)
-builds, per step, and the static ``NestFeatures`` are bit-identical to
-featurizing the reference nests; the fail-fast mode raises
-:class:`AbsIntError` on exactly the sequences the collect mode reports an
-error for.  Around that sit unit tests for the interval domain, the
-static feature plane, the draft scores, and the W304–W306 smells.
+builds, after every step, so the ``NestFeatures`` simhw prices are
+bit-identical to featurizing the reference nests; the fail-fast mode
+raises :class:`AbsIntError` on exactly the sequences the collect mode
+reports an error for.  Around that sit unit tests for split extents, the
+GPU thread geometry, the draft scores, and the W304–W306 smells.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from hypothesis import given, settings, strategies as st
 import reference_applier
 from corruptions import CORRUPTIONS
 from repro.analysis import absint, has_errors, verify_schedule, verify_sequence
-from repro.analysis.absint import AbsIntError, Interval, StaticProfile
+from repro.analysis.absint import AbsIntError
 from repro.analysis.verifier import VerifierConfig
+from repro.simhw import gpu_model
+from repro.simhw.cache import NestFeatures
 from repro.simhw.platform import ALL_PLATFORMS
 from repro.tensorir import SketchConfig, SketchGenerator, sample_subgraph_pool
 from repro.tensorir import primitives as P
@@ -41,37 +43,23 @@ def schedules(draw):
     return SketchGenerator(SketchConfig(target=target)).generate(sg, rng)
 
 
-# -- the interval domain -----------------------------------------------------
+# -- split extents -----------------------------------------------------------
 
 
-def test_interval_validation_and_algebra():
-    assert Interval(3, 3).exact
-    assert not Interval(2, 4).exact
-    assert Interval(2, 3) * Interval(4, 5) == Interval(8, 15)
-    with pytest.raises(ValueError):
-        Interval(0, 1)
-    with pytest.raises(ValueError):
-        Interval(4, 2)
-
-
-def test_padded_split_attributes_remainder_to_first_inner_level():
-    # 10 split by (4,): outer ceil(10/4)=3, padded 12, the last outer
-    # iteration covers only 2 useful points — so the inner trip interval
-    # is [2, 4] and the useful floor is 3*2=6 of 12 padded points.
+def test_padded_split_rounds_the_outer_loop_up():
+    # 10 split by (4,): outer ceil(10/4)=3, so 12 padded points.
     sg = elementwise_subgraph(10)
-    prof = absint.profile(sg, (P.split("i", 10, (4,)),))
-    assert prof.extents() == (3, 4)
-    assert [l.trip for l in prof.loops] == [Interval(3, 3), Interval(2, 4)]
-    assert prof.padded_points() == 12 and prof.useful_points() == 6
-    assert prof.padding_ratio() == pytest.approx(1.2)
+    nest = absint.profile(sg, (P.split("i", 10, (4,)),))
+    assert [l.extent for l in nest.loops] == [3, 4]
+    assert nest.total_iterations() == 12
+    assert nest.padding_ratio(sg.total_points) == pytest.approx(1.2)
 
 
-def test_exact_split_keeps_exact_intervals():
+def test_exact_split_covers_the_domain_exactly():
     sg = elementwise_subgraph(64)
-    prof = absint.profile(sg, (P.split("i", 64, (8, 4)),))
-    assert prof.extents() == (2, 8, 4)
-    assert all(l.trip.exact for l in prof.loops)
-    assert prof.useful_points() == prof.padded_points() == 64
+    nest = absint.profile(sg, (P.split("i", 64, (8, 4)),))
+    assert [l.extent for l in nest.loops] == [2, 8, 4]
+    assert nest.total_iterations() == sg.total_points == 64
 
 
 def test_absint_error_carries_step_index():
@@ -89,22 +77,16 @@ def test_absint_error_carries_step_index():
 def test_clean_sequences_profile_and_match_the_applier(schedule):
     diags = verify_schedule(schedule)
     assert not has_errors(diags)
-    prof = absint.profile(
-        schedule.subgraph, schedule, schedule.target, trace=True
-    )
-    assert isinstance(prof, StaticProfile)
     # Final nests identical — loops (name/extent/kind/tag/pragmas/
     # rfactored) and stage state, via LoopNest equality.
-    assert prof.to_nest() == reference_applier.apply(schedule)
-    # Per-step name/extent snapshots identical too.
-    applied = [
-        tuple((l.name, l.extent) for l in snap.loops)
-        for snap in reference_applier.apply_trace(schedule)
-    ]
-    assert list(prof.trace) == applied
-    row = prof.features()
-    assert row.shape == (len(absint.STATIC_FEATURE_NAMES),)
-    assert np.isfinite(row).all()
+    nest = absint.profile(schedule.subgraph, schedule, schedule.target)
+    assert nest == reference_applier.apply(schedule) == schedule.apply()
+    # The nest after every step identical too: each prefix of a clean
+    # sequence is clean, and interprets to the applier's snapshot.
+    interp = absint.Interpreter(schedule.subgraph, schedule.target)
+    prims = schedule.primitives
+    steps = [interp.profile(prims[: i + 1]) for i in range(len(prims))]
+    assert steps == reference_applier.apply_trace(schedule)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,13 +107,10 @@ def test_rejected_sequences_raise_and_warned_ones_do_not(schedule, corruption):
 
 
 def test_nest_features_bit_identical_to_applied_path():
-    from repro.simhw.cache import NestFeatures
-
     sg = matmul_subgraph()
     gen = SketchGenerator(SketchConfig("cpu"))
-    batch = gen.generate_many(sg, 48, stream("absint.nestfeat"))
-    profiles = [absint.profile(sg, s) for s in batch]
-    static = absint.nest_features(sg, profiles)
+    batch, nests = gen.generate_profiled(sg, 48, stream("absint.nestfeat"))
+    static = NestFeatures.from_nests(sg, nests)
     applied = NestFeatures.from_nests(sg, [reference_applier.apply(s) for s in batch])
     for field in ("depth", "extents", "kinds", "is_reduction", "tags",
                   "padded_points", "domain_points", "flops_per_point",
@@ -141,19 +120,7 @@ def test_nest_features_bit_identical_to_applied_path():
     assert static.signatures == applied.signatures
 
 
-# -- static feature plane and draft scores -----------------------------------
-
-
-def test_profile_many_plane_shape_and_dtype():
-    sg = matmul_subgraph()
-    gen = SketchGenerator(SketchConfig("cpu"))
-    batch = gen.generate_many(sg, 32, stream("absint.plane"))
-    plane = absint.profile_many(sg, batch)
-    assert plane.shape == (32, len(absint.STATIC_FEATURE_NAMES))
-    assert plane.dtype == np.float32
-    assert np.isfinite(plane).all()
-    depth_col = absint.STATIC_FEATURE_NAMES.index("depth")
-    assert (plane[:, depth_col] >= 1).all()
+# -- GPU geometry and draft scores -------------------------------------------
 
 
 def test_gpu_grid_geometry_from_bind_tags():
@@ -163,12 +130,9 @@ def test_gpu_grid_geometry_from_bind_tags():
         P.annotate("i.0", "bind.blockIdx.x"),
         P.annotate("i.1", "bind.threadIdx.x"),
     )
-    prof = absint.profile(sg, seq, "gpu")
-    assert prof.grid_geometry() == (8, 16)
-    row = prof.features()
-    names = absint.STATIC_FEATURE_NAMES
-    assert row[names.index("grid_blocks")] == 8.0
-    assert row[names.index("threads_per_block")] == 16.0
+    nest = absint.profile(sg, seq, "gpu")
+    grid, threads = gpu_model.thread_geometry(NestFeatures.from_nests(sg, [nest]))
+    assert grid[0] == 8.0 and threads[0] == 16.0
 
 
 def test_draft_scores_are_normalized_and_deterministic():
@@ -182,6 +146,9 @@ def test_draft_scores_are_normalized_and_deterministic():
     assert a.max() == np.float32(1.0)
     assert (a > 0).all() and (a <= 1.0).all()
     assert absint.draft_scores(sg, []).shape == (0,)
+    # The sampler gate's nests are drafted as-is, with the same scores.
+    _, nests = gen.generate_profiled(sg, 64, stream("absint.draft"))
+    assert np.array_equal(absint.draft_scores(sg, nests), a)
 
 
 def test_reference_thresholds_come_from_worst_platform():

@@ -2,7 +2,7 @@
 
 The heavy contracts: the single-pass pipeline's columns are
 bit-identical to the compose-by-hand path (``generate_many`` ->
-``measure_many`` / ``profile_many`` / ``transform``), labels normalize
+``measure_many`` / ``transform``), labels normalize
 per (task, platform), the store is a pure function of (spec, root
 seed), and the manifest journals exactly what is on disk.
 """
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.absint import profile_many
 from repro.dataset import (
     DatasetSpec,
     Manifest,
@@ -105,7 +104,6 @@ def test_columns_bit_identical_to_manual_composition(store):
             stream(candidate_stream(spec, task, plan.target), spec.root_seed),
         )
         X_ref, mask_ref = featurizer.transform(schedules)
-        static_ref = profile_many(task.subgraph, schedules, plan.target)
         for pi, platform_idx in enumerate(plan.platform_ids):
             rows = np.arange(plan.row_start + pi * plan.n_candidates,
                              plan.row_start + (pi + 1) * plan.n_candidates)
@@ -117,7 +115,6 @@ def test_columns_bit_identical_to_manual_composition(store):
             )
             assert cols["X"].tobytes() == X_ref.tobytes()
             assert cols["mask"].tobytes() == mask_ref.tobytes()
-            assert cols["static"].tobytes() == static_ref.tobytes()
             assert cols["latency"].tobytes() == lat_ref.tobytes()
             label_ref = lat_ref.min() / lat_ref
             assert cols["label"].tobytes() == label_ref.astype(np.float32).tobytes()

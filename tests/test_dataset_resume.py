@@ -9,6 +9,8 @@ and manifest bytes — is indistinguishable from an uninterrupted build.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,28 @@ def test_resuming_a_complete_store_is_a_cheap_noop(reference, tmp_path):
     again = build_dataset(s, tmp_path, resume=True)
     assert again.complete
     assert_stores_identical(tmp_path, ref_dir)
+
+
+def test_load_and_resume_refuse_a_version_1_store(reference, tmp_path):
+    """A version-1 store (shards with a ``static`` column) must not be
+    read, nor resumed by appending version-2 shards after its own."""
+    s, _, _ = reference
+    build_dataset(s, tmp_path, stop_after_shards=2)
+    manifest_path = tmp_path / MANIFEST_FILENAME
+    old = json.loads(manifest_path.read_text())
+    old["version"] = 1
+    old["schema"]["static_width"] = 25
+    for rec in old["shards"]:
+        np.save(shard_dir(tmp_path, rec["index"]) / "static.npy",
+                np.zeros((rec["n_records"], 25), dtype=np.float32))
+    manifest_path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    before = manifest_path.read_bytes()
+
+    with pytest.raises(ValueError, match="manifest version 1"):
+        Manifest.load(tmp_path)
+    with pytest.raises(ValueError, match="manifest version 1"):
+        ShardReader(tmp_path)
+    with pytest.raises(ValueError, match="manifest version 1"):
+        build_dataset(s, tmp_path, resume=True)
+    assert manifest_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.glob("shard-*")) == [shard_name(0), shard_name(1)]

@@ -1,9 +1,8 @@
 """Each candidate is interpreted exactly once per pipeline.
 
 The sampler's fail-closed gate runs one fail-fast abstract
-interpretation per schedule and hands the static profile on: the dataset
-build takes its static plane and loop nests from it, and the
-draft-then-verify scorer its draft scores.  Counting interpreter runs
+interpretation per schedule and hands the loop nest on: the dataset
+build prices it, and the draft-then-verify scorer drafts from it.  Counting interpreter runs
 against sampled schedules pins that no pipeline interprets a sequence
 twice.
 """

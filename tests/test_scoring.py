@@ -126,6 +126,25 @@ def test_propose_topk_round(scorer, subgraph):
     assert np.array_equal(rerank.scores, top.scores)
 
 
+def test_score_topk_verifies_against_the_generator_target(subgraph):
+    gen = SketchGenerator(SketchConfig("gpu"))
+    corpus = gen.generate_many(subgraph, 16, stream("test.scoring.gpu.corpus"))
+    featurizer = TLPFeaturizer(PostprocessConfig()).fit(corpus)
+    model = TLPModel(TLPModelConfig(
+        emb=featurizer.config.emb, hidden=16, n_heads=2, n_res_blocks=1,
+        stream_name="test.scoring.gpu.model")).eval()
+    gpu_scorer = CandidateScorer(model, featurizer, gen)
+    schedules, _ = gpu_scorer.propose_topk(subgraph, 16, 4, stream("test.scoring.gpu.propose"))
+    # The scorer's own valid GPU proposals are all valid under its default.
+    top = gpu_scorer.score_topk(subgraph, schedules, 4)
+    assert top.n_invalid == 0 and len(top.indices) == 4
+    # Without a generator the default is CPU, where GPU binds are errors;
+    # an explicit target overrides the generator's.
+    bare = CandidateScorer(model, featurizer)
+    assert bare.score_topk(subgraph, schedules, 4).n_invalid == len(schedules)
+    assert gpu_scorer.score_topk(subgraph, schedules, 4, "cpu").n_invalid == len(schedules)
+
+
 def test_propose_without_generator_fails(scorer, featurizer, subgraph):
     bare = CandidateScorer(scorer.model, featurizer)
     with pytest.raises(ValueError, match="SketchGenerator"):
