@@ -32,7 +32,6 @@ from repro.core import (
     TLPModel,
     TLPModelConfig,
 )
-from repro.nn import no_grad
 from repro.tensorir import SketchConfig, SketchGenerator, matmul_subgraph
 from repro.utils.rng import stream
 from repro.utils.timer import best_of
@@ -69,18 +68,6 @@ def test_taped_forward_batch1024(benchmark, model, batch):
     """Baseline: the full autograd-taped forward pass."""
     X, mask = batch
     scores = benchmark(model, X, mask)
-    assert scores.data.shape == (BATCH,)
-
-
-def test_no_grad_forward_batch1024(benchmark, model, batch):
-    """Taped ops without tape recording: intermediates freed eagerly."""
-    X, mask = batch
-
-    def run():
-        with no_grad():
-            return model(X, mask)
-
-    scores = benchmark(run)
     assert scores.data.shape == (BATCH,)
 
 

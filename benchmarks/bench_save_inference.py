@@ -1,11 +1,11 @@
 """Measure the inference fast-path perf numbers and write the trajectory file.
 
 ``make bench-save`` runs this script after ``bench_save.py``; it times
-the taped forward, the ``no_grad`` forward, and the fused ``predict``
-path on a 1,024-schedule batch, plus the end-to-end
-``CandidateScorer`` loop, and writes ``BENCH_nn_inference.json`` at the
-repo root — the committed perf trajectory for the serving path
-(ISSUE 4 acceptance: predict >= 3x the taped forward, bit-identical).
+the taped forward and the fused ``predict`` path on a 1,024-schedule
+batch, plus the end-to-end ``CandidateScorer`` loop, and writes
+``BENCH_nn_inference.json`` at the repo root — the committed perf
+trajectory for the serving path (predict >= 3x the taped forward,
+bit-identical).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.core import (  # noqa: E402
     TLPModel,
     TLPModelConfig,
 )
-from repro.nn import no_grad  # noqa: E402
 from repro.tensorir import SketchConfig, SketchGenerator, matmul_subgraph  # noqa: E402
 from repro.utils.rng import stream  # noqa: E402
 from repro.utils.timer import Timer, best_of, format_seconds  # noqa: E402
@@ -51,13 +50,6 @@ def main() -> int:
 
     taped_scores = model(X, mask).data
     t_taped = best_of(lambda: model(X, mask), REPEATS)
-
-    def forward_no_grad():
-        with no_grad():
-            model(X, mask)
-
-    forward_no_grad()
-    t_no_grad = best_of(forward_no_grad, REPEATS)
 
     # Cold: first predict call builds every scratch buffer.
     model._arena.clear()
@@ -83,13 +75,11 @@ def main() -> int:
         "scratch": model.scratch_info(),
         "timings_ms": {
             "forward_taped": round(t_taped * 1e3, 3),
-            "forward_no_grad": round(t_no_grad * 1e3, 3),
             "predict_cold": round(t_cold.elapsed * 1e3, 3),
             "predict_steady": round(t_predict * 1e3, 3),
             "scorer_end_to_end": round(t_scorer * 1e3, 3),
         },
         "speedups": {
-            "no_grad_vs_taped": round(t_taped / t_no_grad, 2),
             "predict_vs_taped": round(t_taped / t_predict, 2),
         },
         "throughput": {

@@ -16,16 +16,27 @@ multiplied by its platform's one-hot row mask, and the masked scores
 sum into one ``[N]`` vector.  Rows of other platforms contribute
 exactly 0 to each head's output *and* to its gradient, so one backward
 pass trains the trunk on every row and each head only on its own.
+
+Inference shares the single-platform model's fused plan:
+:meth:`MTLTLPModel.predict` pools through
+:meth:`~repro.core.tlp_model.TLPModel.predict_pooled` on the trunk's
+arena, then replays the taped head loop on raw ndarrays — one full-M
+GEMM per head with rows, times its row mask, summed in head order — so
+it is bit-identical to eval-mode :meth:`MTLTLPModel.forward` and builds
+no tape.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core.tlp_model import TLPModel, TLPModelConfig
+from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.utils.rng import stream
 
 
@@ -93,18 +104,7 @@ class MTLTLPModel(Module):
         accumulate no grad, so the optimizer leaves them untouched.
         """
         pooled = self.trunk.pool_features(X, mask)
-        n = int(pooled.shape[0])
-        pids = self._check_pids(platform_ids, n)
-        scores: Tensor | None = None
-        for i, head in enumerate(self.heads):
-            sel = (pids == i)
-            if not sel.any():
-                continue
-            masked = head(pooled).reshape(n) * sel.astype(np.float32)
-            scores = masked if scores is None else scores + masked
-        if scores is None:
-            raise ValueError("empty batch: no rows for any head")
-        return scores
+        return self._masked_head_sum(pooled, platform_ids, lambda head: head(pooled))
 
     def predict(
         self,
@@ -112,14 +112,41 @@ class MTLTLPModel(Module):
         mask: np.ndarray,
         platform_ids: np.ndarray,
     ) -> np.ndarray:
-        """Tape-free masked scores (eval semantics, no autograd graph)."""
-        was_training = self.training
-        self.eval()  # dropout (if configured) must be identity here
-        try:
-            with no_grad():
-                return np.array(self.forward(X, mask, platform_ids).data, copy=True)
-        finally:
-            self.train(was_training)
+        """Tape-free masked scores, bit-identical to eval-mode :meth:`forward`.
+
+        The trunk's fused pool, then :meth:`forward`'s head loop on raw
+        ndarrays: no tape, and no trunk-arena misses after the first
+        call at a given geometry.
+        """
+        pooled = self.trunk.predict_pooled(X, mask)
+        arena = self.trunk._arena
+        return self._masked_head_sum(
+            pooled, platform_ids,
+            lambda head: F.linear(arena, "plan.head", pooled,
+                                  head.weight.data, head.bias.data))
+
+    def _masked_head_sum(
+        self,
+        pooled: "Tensor | np.ndarray",
+        platform_ids: np.ndarray,
+        score: "Callable[[Linear], Tensor | np.ndarray]",
+    ) -> "Tensor | np.ndarray":
+        """Sum over heads with rows of ``score(head)``, each times its
+        one-hot row mask, in head order.  ``score`` runs one full-batch
+        head GEMM, taped (``Tensor``) or fused (ndarray): one loop
+        serves both paths, so their op order is the same."""
+        n = int(pooled.shape[0])
+        pids = self._check_pids(platform_ids, n)
+        scores = None
+        for i, head in enumerate(self.heads):
+            sel = (pids == i)
+            if not sel.any():
+                continue
+            masked = score(head).reshape(n) * sel.astype(np.float32)
+            scores = masked if scores is None else scores + masked
+        if scores is None:
+            raise ValueError("empty batch: no rows for any head")
+        return scores
 
 
 __all__ = ["MTLTLPModel"]

@@ -13,18 +13,20 @@ Two execution paths share the weights:
 
 * :meth:`TLPModel.forward` — the taped autograd path used for training
   (and as the bit-exactness oracle for the fast path).
-* :meth:`TLPModel.predict` — the tape-free serving path: a compiled
-  :class:`_InferencePlan` reads the raw weight ndarrays out of the
-  module tree once per call, then drives the fused in-place kernels of
-  :mod:`repro.nn.functional` over a persistent
+* :meth:`TLPModel.predict` — the tape-free inference path, and the only
+  one: a compiled :class:`_InferencePlan` reads the raw weight ndarrays
+  out of the module tree once per call, then drives the fused in-place
+  kernels of :mod:`repro.nn.functional` over a persistent
   :class:`~repro.nn.functional.ScratchArena`, chunking the batch to
   bound peak scratch memory.  ``predict`` is property-pinned
   bit-identical to eval-mode ``forward`` and performs zero large
   allocations in steady state.
 
-:meth:`TLPModel.pool_features` exposes the taped trunk up to the pooled
-``[N, hidden]`` representation; ``repro.core.mtl`` hangs per-platform
-heads off it, and ``repro.core.trainer`` drives both variants.
+Both paths split at the pooled ``[N, hidden]`` representation:
+:meth:`TLPModel.pool_features` is the taped trunk and
+:meth:`TLPModel.predict_pooled` the fused one, each followed by one
+full-batch head GEMM.  ``repro.core.mtl`` hangs its per-platform heads
+off the same split, and ``repro.core.trainer`` drives both variants.
 """
 
 from __future__ import annotations
@@ -78,8 +80,7 @@ class _InferencePlan:
     """
 
     __slots__ = ("up1_w", "up1_b", "up2_w", "up2_b", "qkv_w", "qkv_b",
-                 "out_w", "out_b", "gamma", "beta", "eps", "res", "head_w",
-                 "head_b", "n_heads")
+                 "out_w", "out_b", "gamma", "beta", "eps", "res", "n_heads")
 
     def __init__(self, model: "TLPModel", arena: F.ScratchArena):
         att = model.attention
@@ -100,8 +101,6 @@ class _InferencePlan:
         self.eps = model.norm.eps
         self.res = [(block.fc.weight.data, block.fc.bias.data)
                     for block in model.res_blocks]
-        self.head_w = model.head.weight.data
-        self.head_b = model.head.bias.data
         self.n_heads = att.n_heads
 
     def run_chunk(self, arena: F.ScratchArena, X: np.ndarray,
@@ -110,7 +109,7 @@ class _InferencePlan:
         """Pool one chunk's features into ``pooled_out`` (a slice of the
         full-batch pooled buffer) using only arena scratch.  The head
         layer is deliberately *not* chunked: its single-column GEMM is
-        bit-sensitive to the row count, so ``predict`` runs it once over
+        bit-sensitive to the row count, so the caller runs it once over
         the whole batch at the same M as the taped forward."""
         h = F.linear(arena, "up1", X, self.up1_w, self.up1_b, relu=True)
         h = F.linear(arena, "up2", h, self.up2_w, self.up2_b, relu=True)
@@ -184,21 +183,18 @@ class TLPModel(Module):
         pooled = self.pool_features(X, mask)
         return self.head(pooled).reshape(pooled.shape[0])
 
-    def predict(self, X: np.ndarray, mask: np.ndarray,
-                max_chunk: int = 128) -> np.ndarray:
-        """Tape-free scores, bit-identical to eval-mode :meth:`forward`.
+    def predict_pooled(self, X: np.ndarray, mask: np.ndarray,
+                       max_chunk: int = 128) -> np.ndarray:
+        """Tape-free :meth:`pool_features`: the pooled ``[N, hidden]``
+        trunk output, bit-identical to the eval-mode taped pool.
 
         Compiles the weight snapshot once, then runs the fused kernels
         chunk by chunk (``max_chunk`` schedules at a time) so peak
-        scratch memory is bounded by the chunk geometry, not the batch.
-        The default of 128 keeps the working set cache-resident — it
-        measured fastest across chunk sizes 64..1024 at batch 1024 —
-        and results are bit-identical for every ``max_chunk`` (chunk
-        rows are independent through each GEMM).
-        Scratch persists on the model between calls: after the first
-        call at a given chunk geometry, no large buffers are allocated
-        (dropout, if configured, is skipped — eval semantics — and the
-        returned ``[N]`` float32 array is the only per-call allocation).
+        scratch memory is bounded by the chunk geometry, not the batch;
+        chunk rows are independent through each GEMM, so the bits do
+        not depend on ``max_chunk``.  The result is the arena's
+        ``plan.pooled`` buffer, valid until the next call.  Dropout, if
+        configured, is skipped (eval semantics).
         """
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float32))
         mask = self._check_geometry(X, mask)
@@ -207,9 +203,10 @@ class TLPModel(Module):
         n, length, _ = X.shape
         arena = self._arena
         plan = _InferencePlan(self, arena)
-        # One mask conversion for the whole batch (memoized per mask
-        # object, shared with the taped attention path); chunks slice it.
-        bias = self.attention.mask_bias(mask)
+        # One mask conversion for the whole batch, read from the mask's
+        # current contents; chunks slice it.
+        bias = F.additive_mask_bias(
+            mask, out=arena.take("plan.mask_bias", (n, 1, 1, length)))
         # Chunk boundaries keep every GEMM's row count out of the M == 1
         # gemv class (different accumulation bits — see functional.py):
         # with length 1 a chunk's rows are its GEMM M, so chunks of one
@@ -222,9 +219,25 @@ class TLPModel(Module):
         for start, stop in zip(edges, edges[1:]):
             plan.run_chunk(arena, X[start:stop], mask[start:stop],
                            bias[start:stop], pooled[start:stop])
-        # Head once, full batch: same GEMM row count as the taped path.
-        scores = F.linear(arena, "plan.head", pooled, plan.head_w, plan.head_b)
-        return scores.reshape(n).copy()
+        return pooled
+
+    def predict(self, X: np.ndarray, mask: np.ndarray,
+                max_chunk: int = 128) -> np.ndarray:
+        """Tape-free scores, bit-identical to eval-mode :meth:`forward`.
+
+        :meth:`predict_pooled`, then the head once over the full batch
+        (the same GEMM row count as the taped path).  The default
+        ``max_chunk`` of 128 keeps the working set cache-resident — it
+        measured fastest across chunk sizes 64..1024 at batch 1024.
+        Scratch persists on the model between calls: after the first
+        call at a given chunk geometry, no large buffers are allocated
+        (the returned ``[N]`` float32 array is the only per-call
+        allocation).
+        """
+        pooled = self.predict_pooled(X, mask, max_chunk)
+        scores = F.linear(self._arena, "plan.head", pooled,
+                          self.head.weight.data, self.head.bias.data)
+        return scores.reshape(pooled.shape[0]).copy()
 
     def scratch_info(self) -> dict[str, int]:
         """Arena occupancy/counters backing the no-allocation test."""

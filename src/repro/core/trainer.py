@@ -23,12 +23,10 @@ and report how good the model's top-k picks are on *held-out networks*
   (``TrainConfig.platforms`` / ``platform_fractions`` carve out the
   Table 9 scarce-target + auxiliary-platform experiments).
 
-Throughput: ``train_step`` gathers X/label into ``ScratchArena``-pooled
-buffers (zero steady-state gather allocations for the wide column); the
-padding mask is the one buffer deliberately allocated per batch, because
-the attention layer's ``MaskBiasCache`` memoizes by mask *identity* and
-a recycled mask object with new contents would silently reuse a stale
-bias.
+Throughput: ``train_step`` gathers X, mask and label into
+``ScratchArena``-pooled buffers, so steady-state gathers allocate
+nothing.  Refilling the mask buffer in place is safe: the attention
+layer converts the mask to its additive bias on every forward.
 
 ``python -m repro.core.trainer`` is the ``make smoke-train`` entry:
 tiny spec -> build -> 3-epoch train -> top-k eval, twice, asserting a
@@ -228,17 +226,15 @@ class Trainer:
         """One optimizer step on one packed batch; returns the loss.
 
         ``idx`` are positions into ``train_indices`` (what
-        ``loader.iter_indices`` yields).  X and label land in pooled
-        arena buffers — zero steady-state allocations for the wide
-        feature block; the mask is fresh per batch (see module
-        docstring: the attention bias cache is identity-keyed).
+        ``loader.iter_indices`` yields).  X, mask and label land in
+        pooled arena buffers: zero steady-state gather allocations.
         """
         global_idx = self.train_indices[idx]
         n = int(idx.shape[0])
         arena = self._arena
         X_buf = arena.take("train.X", (n, *self._x_trailing))
+        mask_buf = arena.take("train.mask", (n, *self._mask_trailing))
         label_buf = arena.take("train.label", (n,))
-        mask_buf = np.empty((n, *self._mask_trailing), dtype=np.float32)
         X, mask, label = self.reader.gather(
             global_idx, ("X", "mask", "label"), out=(X_buf, mask_buf, label_buf)
         )

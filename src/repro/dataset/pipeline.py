@@ -145,7 +145,10 @@ def _validate_resume(
 ) -> tuple[list[ShardRecord], dict[str, dict]]:
     """Load the old manifest, keep the longest intact shard prefix, and
     delete everything after it (including unjournaled/partial shards)."""
-    old = Manifest.load(store_dir)
+    try:
+        old = Manifest.load(store_dir)
+    except ValueError as exc:  # unsupported version or corrupt manifest
+        raise DatasetError(f"cannot resume the store at {store_dir}: {exc}") from exc
     if old.spec.to_dict() != spec.to_dict():
         raise DatasetError(
             f"resume spec mismatch: store at {store_dir} was built from a different spec"

@@ -6,22 +6,23 @@ parameter/module registry, the Fig. 7 layers (Linear, LayerNorm,
 Dropout, residual blocks, masked multi-head self-attention), the
 lambda-rank loss, Adam with a cosine LR schedule, the group-aware batch
 order the trainer draws from, and the fused tape-free inference kernels
-behind ``TLPModel.predict`` (:mod:`repro.nn.functional`).  The taped
-layers are the oracle the fused kernels are pinned bit-identical to, and
-every differentiable piece is pinned by finite-difference gradient checks
-(``make gradcheck``).
+behind ``TLPModel.predict`` and ``MTLTLPModel.predict``
+(:mod:`repro.nn.functional`) — the one inference path; the taped
+layers serve training only.  They are also the oracle the fused kernels
+are pinned bit-identical to, and every differentiable piece is pinned by
+finite-difference gradient checks (``make gradcheck``).
 """
 
 from repro.nn import functional
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.data import GroupedBatchSampler
-from repro.nn.functional import MaskBiasCache, ScratchArena
+from repro.nn.functional import ScratchArena
 from repro.nn.gradcheck import assert_gradients_match, max_relative_error, numerical_gradient
 from repro.nn.layers import Dropout, LayerNorm, Linear, ResidualBlock
 from repro.nn.losses import group_bounds, lambda_rank_loss, lambda_rank_loss_grouped
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam, CosineLR, Optimizer
-from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad, softmax
+from repro.nn.tensor import Tensor, as_tensor, softmax
 
 __all__ = [
     "Adam",
@@ -30,7 +31,6 @@ __all__ = [
     "GroupedBatchSampler",
     "LayerNorm",
     "Linear",
-    "MaskBiasCache",
     "Module",
     "MultiHeadSelfAttention",
     "Optimizer",
@@ -42,11 +42,9 @@ __all__ = [
     "assert_gradients_match",
     "functional",
     "group_bounds",
-    "is_grad_enabled",
     "lambda_rank_loss",
     "lambda_rank_loss_grouped",
     "max_relative_error",
-    "no_grad",
     "numerical_gradient",
     "softmax",
 ]

@@ -8,11 +8,10 @@ keys) before the softmax, so padded positions receive zero attention
 weight from every query.
 
 The mask → additive-bias conversion has one home,
-:func:`repro.nn.functional.additive_mask_bias`, and is memoized per
-batch through a :class:`~repro.nn.functional.MaskBiasCache` owned by the
-layer — the taped forward and the tape-free ``TLPModel.predict`` plan
-share both the formula and the cache, so re-scoring a batch (or running
-``forward`` after ``predict``) converts the mask exactly once.
+:func:`repro.nn.functional.additive_mask_bias`, which this layer calls
+once per forward and the tape-free ``TLPModel.predict`` plan calls once
+per batch.  Nothing is cached between calls, so a mask buffer refilled
+in place always yields the bias of its current contents.
 """
 
 from __future__ import annotations
@@ -21,16 +20,11 @@ import math
 
 import numpy as np
 
-from repro.nn.functional import MASK_PENALTY, MaskBiasCache
+from repro.nn.functional import additive_mask_bias
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, softmax
 from repro.utils.rng import stream
-
-#: Additive logit for masked keys: large enough that float32 softmax
-#: assigns them exactly zero weight against any real logit.  Re-exported
-#: from ``repro.nn.functional`` (the serving path uses the same value).
-_MASK_PENALTY = MASK_PENALTY
 
 
 class MultiHeadSelfAttention(Module):
@@ -48,11 +42,6 @@ class MultiHeadSelfAttention(Module):
         self.k_proj = Linear(dim, dim, rng=rng)
         self.v_proj = Linear(dim, dim, rng=rng)
         self.out_proj = Linear(dim, dim, rng=rng)
-        self._mask_cache = MaskBiasCache()
-
-    def mask_bias(self, mask: np.ndarray) -> np.ndarray:
-        """Memoized ``[N, 1, 1, L]`` additive bias for a padding mask."""
-        return self._mask_cache.get(mask)
 
     def _heads(self, x: Tensor, n: int, length: int) -> Tensor:
         """``[N, L, D] -> [N, heads, L, head_dim]``."""
@@ -65,7 +54,7 @@ class MultiHeadSelfAttention(Module):
         v = self._heads(self.v_proj(x), n, length)
         scores = (q @ k.transpose((0, 1, 3, 2))) * np.float32(1.0 / math.sqrt(self.head_dim))
         if mask is not None:
-            scores = scores + self.mask_bias(mask)
+            scores = scores + additive_mask_bias(mask)
         attn = softmax(scores, axis=-1)
         mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape(n, length, self.dim)
         return self.out_proj(mixed)

@@ -23,9 +23,9 @@ row count M.  Measured on this BLAS, ``x @ W`` row blocks reproduce the
 full-matrix bits for every M >= 2 when W has more than one column, but
 M == 1 falls to a gemv kernel with different accumulation, and
 single-column GEMMs (W of shape ``[K, 1]``) are erratic across small M.
-The inference plan therefore never isolates a 1-row chunk and runs the
-single-column head layer once over the whole batch, at the same M the
-taped forward uses.
+The inference plan therefore never isolates a 1-row chunk and runs
+each single-column head layer (the TLP head, or every MTL-TLP platform
+head) once over the whole batch, at the same M the taped forward uses.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 _F32_ZERO = np.float32(0.0)
 
-#: Additive logit for masked attention keys — must match
-#: ``repro.nn.attention`` (single source of the serving-path constant).
+#: Additive logit for masked attention keys: large enough that float32
+#: softmax assigns them exactly zero weight against any real logit.
 MASK_PENALTY = np.float32(1e9)
 
 
@@ -99,7 +99,10 @@ def additive_mask_bias(mask: np.ndarray, out: np.ndarray | None = None) -> np.nd
     The one home of the mask -> float conversion shared by the taped
     attention forward and the tape-free ``predict`` plan: 0.0 on real
     rows, ``-MASK_PENALTY`` on padding, broadcastable over the
-    ``[N, heads, L, L]`` score block.
+    ``[N, heads, L, L]`` score block.  Nothing is memoized: every call
+    reads the mask's current contents, so a caller may refill one mask
+    buffer between batches.  ``out`` lets ``predict`` write the bias
+    into an arena buffer.
     """
     mask = np.asarray(mask, dtype=np.float32)
     n, length = mask.shape
@@ -109,36 +112,6 @@ def additive_mask_bias(mask: np.ndarray, out: np.ndarray | None = None) -> np.nd
     np.subtract(mask, np.float32(1.0), out=flat)
     np.multiply(flat, MASK_PENALTY, out=flat)
     return out
-
-
-class MaskBiasCache:
-    """Per-batch memo of :func:`additive_mask_bias`.
-
-    Search rounds query the model many times with the *same* mask array
-    (taped forward then predict, or chunked loops over one batch), so
-    the bias is keyed on the mask's identity: a repeated ``get`` with
-    the same object returns the cached bias with zero work.  A new mask
-    of the same geometry recomputes in place into the held buffer —
-    steady-state serving allocates nothing here either.
-    """
-
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-        self._bias: np.ndarray | None = None
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, mask: np.ndarray) -> np.ndarray:
-        if mask is self._mask:
-            self.hits += 1
-            return self._bias
-        self.misses += 1
-        n, length = mask.shape
-        out = self._bias if self._bias is not None and self._bias.shape == (
-            n, 1, 1, length) else None
-        self._bias = additive_mask_bias(mask, out=out)
-        self._mask = mask
-        return self._bias
 
 
 # -- fused layer kernels -------------------------------------------------
@@ -235,10 +208,11 @@ def attention(arena: ScratchArena, name: str, x: np.ndarray,
     The q/k/v projections run as one stacked GEMM against the
     ``[D, 3D]`` ``qkv_weight`` (verified bit-identical per column block
     to three separate GEMMs on this BLAS), the additive ``mask_bias``
-    comes in precomputed (``MaskBiasCache``), and the softmax runs in
-    place on the score block.  Head splits are materialized into
-    contiguous ``[N, L, H, hd]`` scratch — the same layout the taped
-    ``reshape`` produces — because matmul bits depend on operand layout.
+    comes in precomputed (:func:`additive_mask_bias`, once per batch),
+    and the softmax runs in place on the score block.  Head splits are
+    materialized into contiguous ``[N, L, H, hd]`` scratch — the same
+    layout the taped ``reshape`` produces — because matmul bits depend
+    on operand layout.
     """
     n, length, dim = x.shape
     if dim % n_heads:
@@ -298,7 +272,6 @@ def masked_sum_pool(arena: ScratchArena, name: str, x: np.ndarray,
 
 __all__ = [
     "MASK_PENALTY",
-    "MaskBiasCache",
     "ScratchArena",
     "additive_mask_bias",
     "attention",

@@ -30,17 +30,6 @@ def uniform(
     return rng.uniform(low, high, size=shape).astype(np.float32)
 
 
-def normal(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot bound ``sqrt(6 / (fan_in + fan_out))`` over the last two dims."""
-    fan_in, fan_out = _fans(shape)
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform(shape, rng, -limit, limit)
-
-
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He bound ``sqrt(6 / fan_in)`` — the ReLU-stack default."""
     fan_in, _ = _fans(shape)
@@ -54,4 +43,4 @@ def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
     return shape[-2], shape[-1]
 
 
-__all__ = ["kaiming_uniform", "normal", "ones", "uniform", "xavier_uniform", "zeros"]
+__all__ = ["kaiming_uniform", "ones", "uniform", "zeros"]

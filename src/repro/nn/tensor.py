@@ -14,12 +14,10 @@ Everything stays float32 end to end (DESIGN.md §7, enforced by
 lint rule SC103); gradients are plain ndarrays, not tensors, so the
 tape never grows through optimizer steps.
 
-Inference never runs the backward pass, so it should not pay for the
-tape: inside :func:`no_grad` every op skips parent tracking and
-backward-closure recording, so intermediates are freed as the forward
-pass proceeds.  Tensors produced under
-``no_grad`` are permanently tape-free — calling ``backward()`` on one
-raises instead of silently doing nothing.
+Inference never builds a tape: ``TLPModel.predict`` and
+``MTLTLPModel.predict`` run the fused ndarray kernels of
+:mod:`repro.nn.functional` instead.  So there is no grad-mode switch
+here: an op records its tape exactly when a parent requires grad.
 """
 
 from __future__ import annotations
@@ -29,35 +27,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 TensorLike = Union["Tensor", np.ndarray, float, int, list, tuple]
-
-#: Module-level autograd switch; flipped only by :class:`no_grad`.
-_grad_enabled = True
-
-
-def is_grad_enabled() -> bool:
-    """Whether ops currently record the autograd tape."""
-    return _grad_enabled
-
-
-class no_grad:
-    """Context manager that disables tape construction for ops inside it.
-
-    While active, every ``Tensor`` op returns a result with no parents
-    and no backward closure (and ``requires_grad=False``), so the full
-    graph of intermediates is garbage-collected as the forward pass
-    proceeds — the memory/speed mode for pure scoring.  Nesting is
-    fine; the previous state is restored on exit even under exceptions.
-    """
-
-    def __enter__(self) -> "no_grad":
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _grad_enabled
-        _grad_enabled = self._prev
 
 
 def _f32(value: object) -> np.ndarray:
@@ -85,7 +54,7 @@ def as_tensor(value: TensorLike) -> "Tensor":
 class Tensor:
     """A float32 ndarray with a reverse-mode autograd tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_no_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data: TensorLike, requires_grad: bool = False):
         self.data = _f32(data.data if isinstance(data, Tensor) else data)
@@ -93,9 +62,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        #: True only for op outputs created while grad was disabled —
-        #: their tape was never built, so backward() must refuse.
-        self._no_grad = False
 
     # -- introspection ---------------------------------------------------
 
@@ -119,9 +85,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         grad_tag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_tag})"
@@ -136,12 +99,6 @@ class Tensor:
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor to every reachable leaf."""
-        if self._no_grad:
-            raise RuntimeError(
-                "this tensor was produced under no_grad(): its autograd tape "
-                "was never recorded, so backward() cannot run. Re-run the "
-                "forward pass outside no_grad() to train."
-            )
         if grad is None:
             if self.size != 1:
                 raise ValueError("backward() without a gradient needs a scalar output")
@@ -171,17 +128,10 @@ class Tensor:
     def _track(self, data: np.ndarray, parents: Sequence["Tensor"],
                backward: Callable[[np.ndarray], None]) -> "Tensor":
         out = Tensor(data)
-        if not _grad_enabled:
-            out._no_grad = True
-        elif any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
-        elif any(p._no_grad for p in parents):
-            # Derived from a no_grad() product with no taped lineage:
-            # the tape is broken upstream, so backward() must still
-            # refuse with the clear error rather than silently no-op.
-            out._no_grad = True
         return out
 
     # -- broadcasted arithmetic ------------------------------------------
@@ -369,4 +319,4 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-__all__ = ["Tensor", "TensorLike", "as_tensor", "is_grad_enabled", "no_grad", "softmax"]
+__all__ = ["Tensor", "TensorLike", "as_tensor", "softmax"]

@@ -45,8 +45,6 @@ from repro.tensorir.schedule import Schedule
 from repro.tensorir.subgraph import Subgraph
 from repro.utils.rng import ROOT_SEED, stream
 
-ScheduleLike = "Schedule | Sequence[Primitive]"
-
 
 @dataclass(frozen=True)
 class LatencyRecord:

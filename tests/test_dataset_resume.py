@@ -160,7 +160,7 @@ def test_load_and_resume_refuse_a_version_1_store(reference, tmp_path):
         Manifest.load(tmp_path)
     with pytest.raises(ValueError, match="manifest version 1"):
         ShardReader(tmp_path)
-    with pytest.raises(ValueError, match="manifest version 1"):
+    with pytest.raises(DatasetError, match="manifest version 1"):
         build_dataset(s, tmp_path, resume=True)
     assert manifest_path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.glob("shard-*")) == [shard_name(0), shard_name(1)]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.mtl import MTLTLPModel
 from repro.core.tlp_model import TLPModel, TLPModelConfig
@@ -13,8 +14,8 @@ from repro.core.trainer import TrainConfig, Trainer
 from repro.dataset.pipeline import build_dataset
 from repro.dataset.reader import ShardReader
 from repro.dataset.spec import DatasetSpec
+from repro.nn import tensor
 from repro.nn.losses import lambda_rank_loss_grouped
-from repro.nn.tensor import no_grad
 from repro.utils.rng import stream
 
 _CFG = TLPModelConfig(emb=22, hidden=32, n_heads=2, n_res_blocks=1)
@@ -56,9 +57,8 @@ def test_masked_forward_equals_per_row_head_scores():
     mtl.eval()
     X, mask = _batch(n=7)
     pids = np.array([0, 2, 1, 0, 2, 2, 1])
-    with no_grad():
-        pooled = mtl.trunk.pool_features(X, mask)
-        per_head = [h(pooled).data.reshape(-1) for h in mtl.heads]
+    pooled = mtl.trunk.pool_features(X, mask)
+    per_head = [h(pooled).data.reshape(-1) for h in mtl.heads]
     expected = np.array([per_head[p][i] for i, p in enumerate(pids)],
                         dtype=np.float32)
     assert np.array_equal(mtl.predict(X, mask, pids), expected)
@@ -106,6 +106,61 @@ def test_validation():
         mtl.forward(X, mask, np.zeros(2, dtype=np.int64))
     with pytest.raises(IndexError, match="out of range"):
         mtl.forward(X, mask, np.array([0, 1, 2]))
+
+
+# -- tape-free predict: the fused plan, bit-identical to eval forward -----
+
+_PROP_MODELS = {
+    (hidden, n_platforms, n_res): MTLTLPModel(
+        tuple(f"p{i}" for i in range(n_platforms)),
+        TLPModelConfig(emb=9, hidden=hidden, n_heads=4, n_res_blocks=n_res,
+                       stream_name=f"test.core.mtl.prop.{hidden}.{n_res}"),
+    ).eval()
+    for hidden, n_platforms, n_res in ((16, 2, 0), (32, 3, 1), (48, 4, 2))
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    key=st.sampled_from(sorted(_PROP_MODELS)),
+    n=st.one_of(st.integers(2, 127), st.integers(129, 299)),
+    length=st.integers(1, 25),
+    used=st.integers(1, 4),
+)
+def test_predict_bit_identical_to_eval_forward_property(key, n, length, used):
+    """Batches below and above predict's 128-row chunk, with some heads
+    owning no rows; a repeated call at the same geometry misses nothing
+    in the trunk's arena."""
+    mtl = _PROP_MODELS[key]
+    rng = stream(f"test.core.mtl.prop.batch.{key}.{n}.{length}.{used}")
+    X = rng.standard_normal((n, length, 9)).astype(np.float32)
+    mask = (rng.random((n, length)) < 0.7).astype(np.float32)
+    pids = rng.integers(0, min(used, len(mtl.heads)), size=n)
+    taped = mtl(X, mask, pids).data
+    fast = mtl.predict(X, mask, pids)
+    assert fast.dtype == np.float32 and fast.shape == (n,)
+    assert np.array_equal(fast, taped)
+    mtl.trunk._arena.reset_counters()
+    assert np.array_equal(mtl.predict(X, mask, pids), taped)
+    assert mtl.trunk.scratch_info()["misses"] == 0
+
+
+def test_predict_builds_no_tensor(monkeypatch):
+    mtl = MTLTLPModel(("a", "b"), _CFG).eval()
+    X, mask = _batch(n=5)
+    pids = np.array([0, 1, 1, 0, 1])
+    built = []
+    init = tensor.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tensor.Tensor, "__init__", counting_init)
+    mtl.predict(X, mask, pids)
+    assert not built
+    mtl(X, mask, pids)
+    assert built  # the probe does see the taped forward's tensors
 
 
 # -- Table 9 on simhw: same-ISA aux transfers more than cross-ISA ---------

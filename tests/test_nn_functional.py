@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import MaskBiasCache, ScratchArena
+from repro.nn import ScratchArena
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import LayerNorm, Linear, ResidualBlock
@@ -71,30 +71,6 @@ def test_additive_mask_bias_values_and_shape():
     assert bias.dtype == np.float32
     expected = (mask - np.float32(1.0)) * F.MASK_PENALTY
     assert np.array_equal(bias.reshape(2, 3), expected)
-
-
-def test_mask_bias_cache_memoizes_by_identity():
-    cache = MaskBiasCache()
-    mask = np.array([[1.0, 0.0]], dtype=np.float32)
-    bias1 = cache.get(mask)
-    bias2 = cache.get(mask)
-    assert bias2 is bias1 and cache.hits == 1 and cache.misses == 1
-    # A different mask object of the same shape recomputes into the
-    # held buffer — zero steady-state allocation.
-    other = np.array([[0.0, 1.0]], dtype=np.float32)
-    bias3 = cache.get(other)
-    assert bias3 is bias1  # same buffer, new contents
-    assert np.array_equal(bias3, F.additive_mask_bias(other))
-    assert cache.misses == 2
-    # New geometry allocates a fresh buffer.
-    wide = np.ones((1, 5), dtype=np.float32)
-    assert cache.get(wide).shape == (1, 1, 1, 5)
-
-
-def test_attention_module_shares_the_cache():
-    att = MultiHeadSelfAttention(8, 2, rng=stream("test.nn.functional.att"))
-    mask = np.ones((2, 3), dtype=np.float32)
-    assert att.mask_bias(mask) is att.mask_bias(mask)
 
 
 # -- kernel bit-identity against the taped layers ----------------------
